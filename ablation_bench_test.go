@@ -1,17 +1,13 @@
 // Ablation benchmarks for the design choices of DESIGN.md: dynamic
 // range propagation on the insert-handling join, bulk vs single delete,
-// condense, the vectorized selection modes, and the future-work
-// extensions (RLE compression, Bloom-filter skip).
+// condense, and the vectorized selection modes.
 package patchindex
 
 import (
-	"fmt"
 	"testing"
 
 	"patchindex/internal/bitmap"
 	"patchindex/internal/core"
-	"patchindex/internal/datagen"
-	"patchindex/internal/engine"
 	"patchindex/internal/exec"
 	"patchindex/internal/pdt"
 	"patchindex/internal/storage"
@@ -128,69 +124,4 @@ func BenchmarkAblationSelectionModes(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "kept")
 	})
-}
-
-// BenchmarkAblationRLE compares membership tests on the sharded bitmap
-// and its RLE-compressed snapshot, and reports both sizes.
-func BenchmarkAblationRLE(b *testing.B) {
-	const bits = 1 << 22
-	bm := bitmap.NewSharded(bits, bitmap.DefaultShardBits)
-	for _, p := range benchPositions(bits, 1000, 10) {
-		bm.Set(p)
-	}
-	rle := bitmap.CompressRLE(bm)
-	b.Run(fmt.Sprintf("sharded_%dB", bm.SizeBytes()), func(b *testing.B) {
-		var sink bool
-		for i := 0; i < b.N; i++ {
-			sink = bm.Get(uint64(i) % bits)
-		}
-		_ = sink
-	})
-	b.Run(fmt.Sprintf("rle_%dB", rle.SizeBytes()), func(b *testing.B) {
-		var sink bool
-		for i := 0; i < b.N; i++ {
-			sink = rle.Get(uint64(i) % bits)
-		}
-		_ = sink
-	})
-}
-
-// BenchmarkAblationBloomSkip measures the NUC insert path with and
-// without the Bloom-filter skip on non-colliding inserts.
-func BenchmarkAblationBloomSkip(b *testing.B) {
-	setup := func(b *testing.B, withBloom bool) (*engine.Database, *engine.Table) {
-		cfg := datagen.Config{Rows: 100_000, ExceptionRate: 0.01, Seed: 4}
-		db := engine.NewDatabase()
-		t, err := db.CreateTable("t", datagen.KeyValueSchema(), 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t.Load(datagen.KeyValueRows(datagen.NUCColumn(cfg)))
-		if err := t.CreatePatchIndex("val", core.NearlyUnique, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		if withBloom {
-			if err := t.EnableBloomFilter("val", 0.01); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db, t
-	}
-	for _, withBloom := range []bool{false, true} {
-		b.Run(fmt.Sprintf("bloom=%v", withBloom), func(b *testing.B) {
-			db, _ := setup(b, withBloom)
-			next := int64(10_000_000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows := []storage.Row{
-					{storage.I64(next), storage.I64(next)},
-					{storage.I64(next + 1), storage.I64(next + 1)},
-				}
-				next += 2
-				if err := db.Insert("t", rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

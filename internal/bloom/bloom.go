@@ -1,11 +1,10 @@
 // Package bloom provides a small blocked Bloom filter over int64 keys.
 // It implements the paper's future-work suggestion (Section 7): "further
 // data structures like bloom filters ... could enhance the discovery of
-// exceptions to approximate constraints caused by update operations" —
-// the engine consults a per-partition filter of column values to skip
-// the NUC insert-handling join entirely when none of the inserted values
-// can collide with the table, and probes per-partition filters for
-// cross-partition collision candidates on the parallel insert path.
+// exceptions to approximate constraints caused by update operations".
+// Its only user is core.NUCState, which keeps one filter per partition
+// of a NUC column; the partition-parallel insert path probes the
+// foreign partitions' filters for cross-partition collision candidates.
 package bloom
 
 import (
@@ -17,7 +16,7 @@ import (
 // one 64-bit mix (Kirsch-Mitzenmacher double hashing). Values are only
 // ever added, so a filter built over a column stays a superset of the
 // column's values under deletes — tests can produce false positives but
-// never false negatives, which is exactly what the skip-optimization
+// never false negatives, which is exactly what a collision pre-check
 // needs.
 type Filter struct {
 	bits []uint64
@@ -73,21 +72,6 @@ func (f *Filter) Add(v int64) {
 	f.n++
 }
 
-// MayContain reports whether v may have been added. False positives are
-// possible; false negatives are not.
-func (f *Filter) MayContain(v int64) bool {
-	h1 := mix64(uint64(v))
-	h2 := mix64(h1 ^ 0x9e3779b97f4a7c15)
-	for i := uint64(0); i < f.k; i++ {
-		pos := (h1 + i*h2) % f.m
-		//pilint:ignore atomicmix single-reader API; concurrent callers use MayContainConcurrent
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AddConcurrent inserts v with atomic word updates, safe against
 // concurrent AddConcurrent and MayContainConcurrent calls. A concurrent
 // reader may observe the value partially added (some bits set) and
@@ -111,10 +95,11 @@ func (f *Filter) AddConcurrent(v int64) {
 	atomic.AddUint64(&f.n, 1)
 }
 
-// MayContainConcurrent is MayContain with atomic word reads, safe
-// against concurrent AddConcurrent calls. Like MayContain it can return
-// false positives; against in-flight concurrent adds it can also miss —
-// see AddConcurrent for the ordering contract that rules that out.
+// MayContainConcurrent reports whether v may have been added, reading
+// words atomically so it is safe against concurrent AddConcurrent
+// calls. False positives are possible; false negatives are not, except
+// against in-flight concurrent adds — see AddConcurrent for the
+// ordering contract that rules that out.
 func (f *Filter) MayContainConcurrent(v int64) bool {
 	h1 := mix64(uint64(v))
 	h2 := mix64(h1 ^ 0x9e3779b97f4a7c15)

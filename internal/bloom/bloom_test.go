@@ -12,7 +12,7 @@ func TestNoFalseNegatives(t *testing.T) {
 		f.Add(i * 7)
 	}
 	for i := int64(0); i < 1000; i++ {
-		if !f.MayContain(i * 7) {
+		if !f.MayContainConcurrent(i * 7) {
 			t.Fatalf("false negative for %d", i*7)
 		}
 	}
@@ -39,7 +39,7 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 		if present[v] {
 			continue
 		}
-		if f.MayContain(v) {
+		if f.MayContainConcurrent(v) {
 			fp++
 		}
 	}
@@ -55,7 +55,7 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 func TestDegenerateParams(t *testing.T) {
 	f := New(0, -1)
 	f.Add(42)
-	if !f.MayContain(42) {
+	if !f.MayContainConcurrent(42) {
 		t.Fatal("degenerate filter lost value")
 	}
 	if f.SizeBytes() == 0 {
@@ -70,7 +70,7 @@ func TestQuickMembership(t *testing.T) {
 			f.Add(v)
 		}
 		for _, v := range vals {
-			if !f.MayContain(v) {
+			if !f.MayContainConcurrent(v) {
 				return false
 			}
 		}

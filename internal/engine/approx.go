@@ -3,10 +3,8 @@ package engine
 import (
 	"fmt"
 
-	"patchindex/internal/bloom"
 	"patchindex/internal/core"
 	"patchindex/internal/lis"
-	"patchindex/internal/storage"
 )
 
 // Approximate query processing (the paper's future-work Section 7): the
@@ -137,90 +135,4 @@ func (t *Table) PartitionSortedness(column string, p int) (float64, error) {
 		return 1, nil
 	}
 	return float64(lis.LongestLen(vals, desc)) / float64(len(vals)), nil
-}
-
-// Bloom-filter-assisted update discovery (future-work Section 7). A
-// per-partition Bloom filter over a NUC column's values lets the insert
-// handler skip the collision join entirely when no inserted value can
-// possibly collide — the common case for mostly-unique columns. The
-// filter is add-only, so it stays a superset of the column under deletes
-// (false positives only trigger a redundant join; false negatives cannot
-// occur).
-
-// EnableBloomFilter builds per-partition Bloom filters for the
-// NUC-indexed BIGINT column, used to skip collision joins on insert and
-// modify.
-func (t *Table) EnableBloomFilter(column string, fpRate float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idx := t.indexes[column]
-	if idx == nil || idx[0].ConstraintKind() != core.NearlyUnique {
-		return fmt.Errorf("engine: EnableBloomFilter requires a NUC PatchIndex on %s.%s", t.name, column)
-	}
-	col := t.store.Schema().MustColumnIndex(column)
-	if t.store.Schema()[col].Kind != storage.KindInt64 {
-		return fmt.Errorf("engine: Bloom filters support BIGINT columns only")
-	}
-	if t.blooms == nil {
-		t.blooms = make(map[string][]*bloom.Filter)
-	}
-	filters := make([]*bloom.Filter, t.store.NumPartitions())
-	for p := range filters {
-		vals := t.viewLocked(p).MaterializeInt64(col)
-		f := bloom.New(len(vals)*2, fpRate)
-		for _, v := range vals {
-			f.Add(v)
-		}
-		filters[p] = f
-	}
-	t.blooms[column] = filters
-	return nil
-}
-
-// DisableBloomFilter drops the filters on column.
-func (t *Table) DisableBloomFilter(column string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.blooms, column)
-}
-
-// BloomSkips reports how many collision joins the filters avoided.
-func (t *Table) BloomSkips(column string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bloomSkips[column]
-}
-
-// mayCollide reports whether any of the changed values can collide with
-// existing column values (or with each other), according to the Bloom
-// filters. Returns true (conservatively) when no filter is installed.
-func (t *Table) mayCollide(column string, vals []int64) bool {
-	filters := t.blooms[column]
-	if filters == nil {
-		return true
-	}
-	seen := make(map[int64]struct{}, len(vals))
-	for _, v := range vals {
-		if _, dup := seen[v]; dup {
-			return true // duplicate within the change set
-		}
-		seen[v] = struct{}{}
-		for _, f := range filters {
-			if f.MayContain(v) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// bloomAddPart registers values inserted into one partition.
-func (t *Table) bloomAddPart(column string, part int, vals []int64) {
-	filters := t.blooms[column]
-	if filters == nil {
-		return
-	}
-	for _, v := range vals {
-		filters[part].Add(v)
-	}
 }

@@ -63,11 +63,11 @@
 // per partition slot. Writers pick one of three modes:
 //
 //   - structure write lock alone: table-wide operations that mutate
-//     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load),
-//     Bloom filter management, and updates whose index maintenance
-//     needs a global table view: Insert and NUC-column Modify (their
-//     collision join probes every partition), and the fallback of the
-//     partition-parallel insert path.
+//     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load)
+//     and updates whose index maintenance needs a global table view:
+//     Insert and NUC-column Modify (their collision join probes every
+//     partition), and the fallback of the partition-parallel insert
+//     path.
 //   - structure read lock + one partition lock: partition-scoped
 //     updates — DeleteRowIDs, Modify of columns without a NUC index,
 //     and each partition chunk of a batched insert (InsertRows,
@@ -253,7 +253,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"patchindex/internal/bloom"
 	"patchindex/internal/core"
 	"patchindex/internal/pdt"
 	"patchindex/internal/plan"
@@ -339,7 +338,7 @@ func NewDatabase() *Database {
 // multi-partition captures hold mu shared plus every pmu in index
 // order. Per-partition state (delta[p], deltaShared[p], the store's
 // partition p, and each column's index[p]) is owned by whoever holds
-// partition p under this protocol; the indexes/blooms maps themselves
+// partition p under this protocol; the indexes/nuc maps themselves
 // change only under the exclusive structure lock. See the package
 // comment for the full lock order.
 //
@@ -383,9 +382,10 @@ type Table struct {
 	// NUC-indexed column (core.NUCState), created and dropped together
 	// with the index. Its per-partition count maps follow partition
 	// ownership like the index slots; its sealed exception set and
-	// Bloom filters use lock-free atomics with the pre-publication
-	// ordering documented in insert.go. The map itself changes only
-	// under the exclusive structure lock.
+	// per-partition Bloom filters (the engine's only Bloom filters) use
+	// lock-free atomics with the pre-publication ordering documented in
+	// insert.go. The map itself changes only under the exclusive
+	// structure lock.
 	nuc map[string]*core.NUCState
 
 	// fastInserts / fallbackInserts count InsertRows batches that took
@@ -400,12 +400,6 @@ type Table struct {
 	// never runs it (its exact retry patches foreign partitions from
 	// the count maps); CollisionJoins lets tests pin that.
 	collisionJoins atomic.Uint64
-
-	// blooms[column] holds optional per-partition Bloom filters over a
-	// NUC column's values (see EnableBloomFilter); bloomSkips counts the
-	// collision joins they avoided.
-	blooms     map[string][]*bloom.Filter
-	bloomSkips map[string]int
 
 	// wal is the table's write-ahead state when logging is enabled
 	// (durability.go), nil otherwise. The pointer is installed under the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,35 +88,69 @@ func TestCreatePatchIndexValidation(t *testing.T) {
 	}
 }
 
-func TestDistinctPlansAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	vals := make([]int64, 5000)
+// planIndexKinds are the PatchIndexes the plan-agreement tests build
+// over nearlySortedVals: each has few patches, so PlanAuto takes the
+// patch plan wherever the index admits it.
+var planIndexKinds = []struct {
+	name string
+	c    core.Constraint
+	desc bool
+}{
+	{"NUC", core.NearlyUnique, false},
+	{"NSC asc", core.NearlySorted, false},
+	{"NSC desc", core.NearlySorted, true},
+}
+
+// nearlySortedVals returns 0..n-1 with a tenth of the positions
+// overwritten by random values (which duplicate others), reversed when
+// desc.
+func nearlySortedVals(seed int64, n int, desc bool) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, n)
 	for i := range vals {
-		vals[i] = rng.Int63n(1500) // plenty of duplicates
+		vals[i] = int64(i)
 	}
-	for _, d := range []core.Design{core.DesignBitmap, core.DesignIdentifier} {
-		db := newDB(t)
-		tb := singleColTable(t, db, "t", vals, 4)
-		if err := tb.CreatePatchIndex("v", core.NearlyUnique, tinyOpts(d)); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < n/10; i++ {
+		vals[rng.Intn(n)] = rng.Int63n(int64(n))
+	}
+	if desc {
+		slices.Reverse(vals)
+	}
+	return vals
+}
+
+func TestDistinctPlansAgree(t *testing.T) {
+	for _, k := range planIndexKinds {
+		vals := nearlySortedVals(30, 5000, k.desc)
 		want := distinctSorted(vals)
-		for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
-			op, err := db.Distinct("t", "v", QueryOptions{Mode: mode})
-			if err != nil {
+		for _, d := range []core.Design{core.DesignBitmap, core.DesignIdentifier} {
+			db := newDB(t)
+			tb := singleColTable(t, db, "t", vals, 4)
+			opts := tinyOpts(d)
+			opts.Descending = k.desc
+			if err := tb.CreatePatchIndex("v", k.c, opts); err != nil {
 				t.Fatal(err)
 			}
-			got, err := CollectInt64(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = sortedCopy(got)
-			if len(got) != len(want) {
-				t.Fatalf("%v mode %d: %d distinct values, want %d", d, mode, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v mode %d: mismatch at %d", d, mode, i)
+			for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
+				op, err := db.Distinct("t", "v", QueryOptions{Mode: mode})
+				if mode == PlanPatchIndex && k.c != core.NearlyUnique {
+					// The patch-free stream of a NSC index is not unique.
+					if err == nil {
+						op.Close()
+						t.Fatalf("%s %v: forced PatchIndex distinct succeeded", k.name, d)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CollectInt64(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = sortedCopy(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %v mode %d: %d distinct values, want %d", k.name, d, mode, len(got), len(want))
 				}
 			}
 		}
@@ -149,36 +184,47 @@ func TestDistinctParallelAndZBP(t *testing.T) {
 }
 
 func TestSortPlansAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	vals := make([]int64, 4000)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	for i := 0; i < 400; i++ {
-		vals[rng.Intn(len(vals))] = rng.Int63n(4000)
-	}
-	for _, d := range []core.Design{core.DesignBitmap, core.DesignIdentifier} {
-		db := newDB(t)
-		tb := singleColTable(t, db, "t", vals, 4)
-		if err := tb.CreatePatchIndex("v", core.NearlySorted, tinyOpts(d)); err != nil {
-			t.Fatal(err)
-		}
-		want := sortedCopy(vals)
-		for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
-			op, err := db.SortQuery("t", "v", false, QueryOptions{Mode: mode})
-			if err != nil {
+	for _, k := range planIndexKinds {
+		vals := nearlySortedVals(31, 4000, k.desc)
+		for _, d := range []core.Design{core.DesignBitmap, core.DesignIdentifier} {
+			db := newDB(t)
+			tb := singleColTable(t, db, "t", vals, 4)
+			opts := tinyOpts(d)
+			opts.Descending = k.desc
+			if err := tb.CreatePatchIndex("v", k.c, opts); err != nil {
 				t.Fatal(err)
 			}
-			got, err := CollectInt64(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v mode %d: %d rows, want %d", d, mode, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v mode %d: order mismatch at %d: %d != %d", d, mode, i, got[i], want[i])
+			for _, desc := range []bool{false, true} {
+				want := sortedCopy(vals)
+				if desc {
+					slices.Reverse(want)
+				}
+				for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
+					op, err := db.SortQuery("t", "v", desc, QueryOptions{Mode: mode})
+					if mode == PlanPatchIndex && (k.c != core.NearlySorted || k.desc != desc) {
+						// Only a NSC index in the requested direction
+						// yields a pre-sorted patch-free stream.
+						if err == nil {
+							op.Close()
+							t.Fatalf("%s %v desc=%v: forced PatchIndex sort succeeded", k.name, d, desc)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := CollectInt64(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s %v desc=%v mode %d: %d rows, want %d", k.name, d, desc, mode, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s %v desc=%v mode %d: order mismatch at %d: %d != %d", k.name, d, desc, mode, i, got[i], want[i])
+						}
+					}
 				}
 			}
 		}

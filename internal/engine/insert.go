@@ -695,7 +695,6 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 			for _, v := range fc.intVals[p] {
 				fc.state.AddLocalInt64(p, v)
 			}
-			t.bloomAddPart(fc.column, p, fc.intVals[p])
 		} else {
 			for _, v := range fc.strVals[p] {
 				fc.state.AddLocalString(p, v)
@@ -779,44 +778,21 @@ func (t *Table) insertExclusiveLocked(db *Database, perPart [][]storage.Row) err
 		case core.NearlyUnique:
 			isInt := t.store.Schema()[col].Kind == storage.KindInt64
 			var changed []changedRef
-			var changedVals []int64
 			for p, prows := range perPart {
 				for i := range prows {
 					ref := changedRef{part: p, rid: uint64(baseRows[p] + i)}
 					if isInt {
 						ref.val = prows[i][col].I
-						changedVals = append(changedVals, ref.val)
 					}
 					changed = append(changed, ref)
 				}
 			}
-			if isInt && !t.mayCollide(column, changedVals) {
-				// Bloom filters prove no collision is possible: skip the
-				// join, extend the indexes (future-work optimization).
-				if t.bloomSkips == nil {
-					t.bloomSkips = make(map[string]int)
-				}
-				t.bloomSkips[column]++
-				for p := range idx {
-					idx[p].HandleInsertNUC(len(perPart[p]), core.NUCJoinResult{})
-				}
-			} else {
-				joins, err := t.nucCollisions(col, changed, perPartStrings(perPart, col, t.store.Schema()[col].Kind))
-				if err != nil {
-					return fmt.Errorf("engine: insert handling on %s.%s: %w", t.name, column, err)
-				}
-				for p := range idx {
-					idx[p].HandleInsertNUC(len(perPart[p]), joins[p])
-				}
+			joins, err := t.nucCollisions(col, changed, perPartStrings(perPart, col, t.store.Schema()[col].Kind))
+			if err != nil {
+				return fmt.Errorf("engine: insert handling on %s.%s: %w", t.name, column, err)
 			}
-			if isInt {
-				for p := range perPart {
-					vals := make([]int64, 0, len(perPart[p]))
-					for _, r := range perPart[p] {
-						vals = append(vals, r[col].I)
-					}
-					t.bloomAddPart(column, p, vals)
-				}
+			for p := range idx {
+				idx[p].HandleInsertNUC(len(perPart[p]), joins[p])
 			}
 			if st := t.nuc[column]; st != nil {
 				// Keep the sealed-set invariant the parallel path relies

@@ -449,31 +449,18 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 			isInt := t.store.Schema()[col].Kind == storage.KindInt64
 			changed := make([]changedRef, len(rowIDs))
 			changedStrs := make([][]string, t.store.NumPartitions())
-			var changedVals []int64
 			for i, r := range rowIDs {
 				changed[i] = changedRef{part: partition, rid: r, val: values[i].I}
-				if isInt {
-					changedVals = append(changedVals, values[i].I)
-				} else {
+				if !isInt {
 					changedStrs[partition] = append(changedStrs[partition], values[i].S)
 				}
 			}
-			if isInt && !t.mayCollide(column, changedVals) {
-				if t.bloomSkips == nil {
-					t.bloomSkips = make(map[string]int)
-				}
-				t.bloomSkips[column]++
-			} else {
-				joins, err := t.nucModifyCollisions(col, changed, changedStrs)
-				if err != nil {
-					return fmt.Errorf("engine: modify handling on %s.%s: %w", t.name, column, err)
-				}
-				for p := range idx {
-					idx[p].HandleModifyNUC(joins[p])
-				}
+			joins, err := t.nucModifyCollisions(col, changed, changedStrs)
+			if err != nil {
+				return fmt.Errorf("engine: modify handling on %s.%s: %w", t.name, column, err)
 			}
-			if isInt {
-				t.bloomAddPart(column, partition, changedVals)
+			for p := range idx {
+				idx[p].HandleModifyNUC(joins[p])
 			}
 		}
 	}

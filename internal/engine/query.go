@@ -8,17 +8,20 @@ import (
 	"patchindex/internal/storage"
 )
 
-// PlanMode selects how a query entry point plans.
-type PlanMode int
+// PlanMode selects how a query entry point plans; it is plan.Mode, the
+// one mode type shared with internal/query.
+type PlanMode = plan.Mode
 
 const (
 	// PlanAuto applies the PatchIndex rewrite when the cost model favors
-	// it (Section 3.5) and an index exists.
-	PlanAuto PlanMode = iota
+	// it (Section 3.5) and a fitting index exists.
+	PlanAuto = plan.ModeAuto
 	// PlanReference forces the unoptimized plan.
-	PlanReference
-	// PlanPatchIndex forces the PatchIndex plan (requires an index).
-	PlanPatchIndex
+	PlanReference = plan.ModeReference
+	// PlanPatchIndex forces the PatchIndex plan (requires a NUC index
+	// for Distinct, a NSC index in the requested direction for
+	// SortQuery).
+	PlanPatchIndex = plan.ModePatchIndex
 )
 
 // QueryOptions tune the query entry points.
@@ -70,28 +73,7 @@ func (t *Table) snapshotColumn(column string) *TableSnapshot {
 // Distinct returns an operator computing DISTINCT(column) over the
 // snapshot.
 func (s *TableSnapshot) Distinct(column string, opts QueryOptions) (exec.Operator, error) {
-	col := s.schema.ColumnIndex(column)
-	if col < 0 {
-		return nil, fmt.Errorf("engine: unknown column %q", column)
-	}
-	rows, patches, indexed := s.planStats(column)
-	usePI := indexed
-	switch opts.Mode {
-	case PlanReference:
-		usePI = false
-	case PlanAuto:
-		usePI = indexed && plan.UsePatchIndexForDistinct(rows, patches)
-	case PlanPatchIndex:
-		if !indexed {
-			return nil, fmt.Errorf("engine: no PatchIndex on %s.%s", s.name, column)
-		}
-	}
-	inputs := s.Inputs(column)
-	popts := plan.Options{ZeroBranchPruning: opts.ZeroBranchPruning, Parallel: opts.Parallel}
-	if usePI {
-		return plan.Distinct(inputs, col, popts), nil
-	}
-	return plan.DistinctReference(inputs, col, popts), nil
+	return s.lowerUnary(column, plan.Unary{}, opts)
 }
 
 // SortQuery returns an operator producing column fully sorted. Like
@@ -117,45 +99,50 @@ func (db *Database) SortQuery(table, column string, desc bool, opts QueryOptions
 // SortQuery returns an operator producing column fully sorted over the
 // snapshot.
 func (s *TableSnapshot) SortQuery(column string, desc bool, opts QueryOptions) (exec.Operator, error) {
-	col := s.schema.ColumnIndex(column)
-	if col < 0 {
+	return s.lowerUnary(column, plan.Unary{Sort: true, Desc: desc}, opts)
+}
+
+// lowerUnary plans u, a DISTINCT or ORDER BY over column, through
+// plan.LowerUnary.
+func (s *TableSnapshot) lowerUnary(column string, u plan.Unary, opts QueryOptions) (exec.Operator, error) {
+	if u.Col = s.schema.ColumnIndex(column); u.Col < 0 {
 		return nil, fmt.Errorf("engine: unknown column %q", column)
 	}
-	rows, patches, indexed := s.planStats(column)
-	usePI := indexed
-	switch opts.Mode {
-	case PlanReference:
-		usePI = false
-	case PlanAuto:
-		usePI = indexed && plan.UsePatchIndexForSort(rows, patches)
-	case PlanPatchIndex:
-		if !indexed {
-			return nil, fmt.Errorf("engine: no PatchIndex on %s.%s", s.name, column)
-		}
-	}
-	inputs := s.Inputs(column)
 	popts := plan.Options{ZeroBranchPruning: opts.ZeroBranchPruning, Parallel: opts.Parallel}
-	if usePI {
-		return plan.Sort(inputs, col, desc, popts), nil
+	op, _, err := plan.LowerUnary(s.Inputs(column), u, opts.Mode, popts)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s.%s: %w", s.name, column, err)
 	}
-	return plan.SortReference(inputs, col, desc, popts), nil
+	return op, nil
 }
 
 // ScanAll returns an operator scanning the given columns of every
 // partition (unioned), against an ephemeral snapshot captured at call
 // time and released when the operator is drained or closed. Scans never
 // consult PatchIndexes, so only the storage views are captured. Unknown
-// columns panic — before the capture, so the aborted call retains no
-// generation refs nobody would ever release.
-func (t *Table) ScanAll(columns ...string) exec.Operator {
-	for _, c := range columns {
-		t.Schema().MustColumnIndex(c)
+// columns return an error — before the capture, so the rejected call
+// retains no generation refs nobody would ever release.
+func (t *Table) ScanAll(columns ...string) (exec.Operator, error) {
+	cols, err := columnPositions(t.Schema(), columns)
+	if err != nil {
+		return nil, err
 	}
 	t.lockAllPartitions()
 	s := t.snapshotViewsLocked()
 	s.ref = t.store.Retain()
 	t.unlockAllPartitions()
-	return exec.OnClose(s.ScanAll(columns...), s.Close)
+	return exec.OnClose(s.scan(cols), s.Close), nil
+}
+
+// columnPositions resolves column names against schema.
+func columnPositions(schema storage.Schema, columns []string) ([]int, error) {
+	cols := make([]int, len(columns))
+	for i, c := range columns {
+		if cols[i] = schema.ColumnIndex(c); cols[i] < 0 {
+			return nil, fmt.Errorf("engine: unknown column %q", c)
+		}
+	}
+	return cols, nil
 }
 
 // ScanPartition returns an operator scanning the given columns of just
@@ -170,13 +157,9 @@ func (t *Table) ScanAll(columns ...string) exec.Operator {
 // columns and out-of-range partitions return an error — before the
 // capture, so the aborted call retains no generation refs.
 func (t *Table) ScanPartition(p int, columns ...string) (exec.Operator, error) {
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		ci := t.Schema().ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: unknown column %q", c)
-		}
-		cols[i] = ci
+	cols, err := columnPositions(t.Schema(), columns)
+	if err != nil {
+		return nil, err
 	}
 	if p < 0 || p >= len(t.pmu) {
 		return nil, fmt.Errorf("engine: table %q has no partition %d", t.name, p)

@@ -113,7 +113,10 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	}
 
 	// ScanAll is a query entry point like the others.
-	scan := tb.ScanAll("v")
+	scan, err := tb.ScanAll("v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if reorderable(tb) {
 		t.Fatal("reorder allowed while a scan is in flight")
 	}
@@ -133,20 +136,21 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 		t.Fatal("rejected query leaked a snapshot ref")
 	}
 
-	// Neither must a ScanAll that panics on an unknown column (it
-	// validates before capturing).
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScanAll accepted an unknown column")
-			}
-		}()
-		//pilint:ignore snapclose ScanAll panics before capturing a ref here
-		tb.ScanAll("missing")
-	}()
-	if !reorderable(tb) {
-		t.Fatal("panicked ScanAll leaked a snapshot ref")
+	// Neither must a ScanAll of an unknown column (it validates before
+	// capturing).
+	//pilint:ignore snapclose error-path probe; a non-nil operator fails the test
+	if _, err := tb.ScanAll("v", "missing"); err == nil {
+		t.Fatal("ScanAll accepted an unknown column")
 	}
+	if !reorderable(tb) {
+		t.Fatal("rejected ScanAll leaked a snapshot ref")
+	}
+	s := tb.Snapshot()
+	//pilint:ignore snapclose error-path probe; a non-nil operator fails the test
+	if _, err := s.ScanAll("missing"); err == nil {
+		t.Error("TableSnapshot.ScanAll accepted an unknown column")
+	}
+	s.Close()
 }
 
 // TestSnapshotCloseReleasesExactlyOnce: double Close (or Close after

@@ -295,26 +295,18 @@ func (s *TableSnapshot) Inputs(column string) []plan.PartitionInput {
 	return out
 }
 
-// planStats aggregates index statistics for the cost model.
-func (s *TableSnapshot) planStats(column string) (rows, patches uint64, indexed bool) {
-	idx := s.indexes[column]
-	if idx == nil {
-		return 0, 0, false
+// ScanAll returns an operator scanning the given columns of every
+// partition of the snapshot (unioned). Unknown columns return an error.
+func (s *TableSnapshot) ScanAll(columns ...string) (exec.Operator, error) {
+	cols, err := columnPositions(s.schema, columns)
+	if err != nil {
+		return nil, err
 	}
-	for _, x := range idx {
-		rows += x.Rows()
-		patches += x.NumPatches()
-	}
-	return rows, patches, true
+	return s.scan(cols), nil
 }
 
-// ScanAll returns an operator scanning the given columns of every
-// partition of the snapshot (unioned).
-func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		cols[i] = s.schema.MustColumnIndex(c)
-	}
+// scan unions scans of the column positions cols over every partition.
+func (s *TableSnapshot) scan(cols []int) exec.Operator {
 	parts := make([]exec.Operator, len(s.views))
 	for p := range parts {
 		parts[p] = exec.NewScan(s.views[p], cols)

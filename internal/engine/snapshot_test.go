@@ -23,6 +23,16 @@ func collectSorted(t *testing.T, db *Database, table, column string, opts QueryO
 	return sortedCopy(vals)
 }
 
+// scanAll is TableSnapshot.ScanAll over columns the caller knows exist;
+// it panics otherwise, so it is usable from reader goroutines.
+func scanAll(s *TableSnapshot, columns ...string) exec.Operator {
+	op, err := s.ScanAll(columns...)
+	if err != nil {
+		panic(err)
+	}
+	return op
+}
+
 func seq(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -431,12 +441,12 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 			checkOnce := func() bool {
 				snap := db.MustSnapshot("lineitem", "orders")
 				defer snap.Close()
-				dimVals, err := CollectInt64(snap.MustTable("orders").ScanAll("v"))
+				dimVals, err := CollectInt64(scanAll(snap.MustTable("orders"), "v"))
 				if err != nil {
 					t.Error(err)
 					return false
 				}
-				factVals, err := CollectInt64(snap.MustTable("lineitem").ScanAll("v"))
+				factVals, err := CollectInt64(scanAll(snap.MustTable("lineitem"), "v"))
 				if err != nil {
 					t.Error(err)
 					return false
@@ -459,8 +469,8 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 				// The same holds through an actual join over the snapshot:
 				// inner-joining fact against dim must keep every fact row.
 				join := exec.NewHashJoin(
-					snap.MustTable("lineitem").ScanAll("v"),
-					snap.MustTable("orders").ScanAll("v"), 0, 0)
+					scanAll(snap.MustTable("lineitem"), "v"),
+					scanAll(snap.MustTable("orders"), "v"), 0, 0)
 				joined, err := exec.Collect(join)
 				if err != nil {
 					t.Error(err)

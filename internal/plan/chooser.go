@@ -1,16 +1,21 @@
 package plan
 
 import (
+	"errors"
 	"math"
 	"sync"
+
+	"patchindex/internal/core"
+	"patchindex/internal/exec"
 )
 
 // Access path chooser. The cost formulas in cost.go price the individual
 // plan shapes; this file turns them into a decision layer the query
-// compiler (internal/query) drives per plan node, fed by live statistics:
-// partition row counts and patch counts from the captured snapshot
-// (engine.Table.PartitionIndexStats exposes the same numbers outside a
-// snapshot), dimension-side cardinality estimates, and runtime feedback
+// compiler (internal/query) drives per plan node — and, through
+// LowerUnary, the engine's Distinct/SortQuery entry points — fed by live
+// statistics: partition row counts and patch counts from the captured
+// snapshot (engine.Table.PartitionIndexStats exposes the same numbers
+// outside a snapshot), dimension-side cardinality estimates, and runtime feedback
 // correcting those estimates between queries.
 
 // Access identifies the physical access path chosen for a plan node.
@@ -89,7 +94,7 @@ func ChooseJoin(factRows, patches, dimRows uint64, havePatch, haveJI bool) (Acce
 // ChooseDistinct picks the access path for DISTINCT over an indexed
 // column (joinindex does not apply).
 func ChooseDistinct(rows, patches uint64, havePatch bool) Access {
-	if havePatch && UsePatchIndexForDistinct(rows, patches) {
+	if havePatch && CostDistinctPatch(rows, patches) < CostDistinctReference(rows) {
 		return AccessPatchIndex
 	}
 	return AccessReference
@@ -97,10 +102,99 @@ func ChooseDistinct(rows, patches uint64, havePatch bool) Access {
 
 // ChooseSort picks the access path for ORDER BY over an indexed column.
 func ChooseSort(rows, patches uint64, havePatch bool) Access {
-	if havePatch && UsePatchIndexForSort(rows, patches) {
+	if havePatch && CostSortPatch(rows, patches) < CostSortReference(rows) {
 		return AccessPatchIndex
 	}
 	return AccessReference
+}
+
+// Mode forces or frees the access-path choice of a plan node. Forced
+// modes apply wherever the respective index exists.
+type Mode int
+
+const (
+	// ModeAuto lets the cost model choose (Section 3.5).
+	ModeAuto Mode = iota
+	// ModeReference always takes the unoptimized plan.
+	ModeReference
+	// ModePatchIndex takes the PatchIndex plan.
+	ModePatchIndex
+	// ModeJoinIndex resolves joins through a joinindex; other nodes
+	// choose as in ModeAuto.
+	ModeJoinIndex
+)
+
+// Unary is a choosable single-column node over a partitioned scan:
+// DISTINCT Col, or, with Sort set, ORDER BY Col (descending with Desc).
+// Col is a position in the partition views' schema.
+type Unary struct {
+	Col  int
+	Sort bool
+	Desc bool
+}
+
+// Choice reports how LowerUnary planned a node.
+type Choice struct {
+	// Access is the path taken.
+	Access Access
+	// Indexed reports that the column carries an index the patch plan
+	// can use: NUC for DISTINCT, NSC in the requested direction for
+	// ORDER BY. Without one there was nothing to choose.
+	Indexed bool
+	// Forced reports a mode override (no cost comparison happened).
+	Forced bool
+	// Rows and Patches are the index statistics the choice used.
+	Rows, Patches uint64
+}
+
+// ErrNoPatchIndex is returned when ModePatchIndex forces the patch plan
+// on a column without a fitting index.
+var ErrNoPatchIndex = errors.New("no PatchIndex of the required constraint and direction")
+
+// LowerUnary plans a choosable DISTINCT or ORDER BY. It reads row and
+// patch counts, constraint kind and direction from inputs[i].Index, and
+// takes the patch plan only for a NUC index (DISTINCT) or a NSC index
+// sorted in the requested direction (ORDER BY): the patch-free stream of
+// any other index is neither unique nor ordered as the plan assumes.
+func LowerUnary(inputs []PartitionInput, u Unary, mode Mode, opts Options) (exec.Operator, Choice, error) {
+	var ch Choice
+	if len(inputs) > 0 && inputs[0].Index != nil {
+		x := inputs[0].Index
+		if u.Sort {
+			ch.Indexed = x.ConstraintKind() == core.NearlySorted && x.Descending() == u.Desc
+		} else {
+			ch.Indexed = x.ConstraintKind() == core.NearlyUnique
+		}
+		for _, in := range inputs {
+			ch.Rows += in.Index.Rows()
+			ch.Patches += in.Index.NumPatches()
+		}
+	}
+	switch mode {
+	case ModeReference:
+		ch.Access, ch.Forced = AccessReference, true
+	case ModePatchIndex:
+		if !ch.Indexed {
+			return nil, ch, ErrNoPatchIndex
+		}
+		ch.Access, ch.Forced = AccessPatchIndex, true
+	default:
+		if u.Sort {
+			ch.Access = ChooseSort(ch.Rows, ch.Patches, ch.Indexed)
+		} else {
+			ch.Access = ChooseDistinct(ch.Rows, ch.Patches, ch.Indexed)
+		}
+	}
+	switch {
+	case u.Sort && ch.Access == AccessPatchIndex:
+		return Sort(inputs, u.Col, u.Desc, opts), ch, nil
+	case u.Sort:
+		return SortReference(inputs, u.Col, u.Desc, opts), ch, nil
+	case ch.Access == AccessPatchIndex:
+		return Distinct(inputs, u.Col, opts), ch, nil
+	default:
+		return DistinctReference(inputs, u.Col, opts), ch, nil
+	}
 }
 
 // ErosionExceptionRate inverts the cost model for the maintenance

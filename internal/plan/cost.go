@@ -70,22 +70,3 @@ func CostJoinPatch(factRows, patches, dimRows uint64) float64 {
 		float64(dimRows)*costHashTuple + // hash build (dim side)
 		costCloneFixed
 }
-
-// UsePatchIndexForDistinct decides whether the optimizer should pick the
-// PatchIndex plan for a distinct query (Section 3.5: apply when the
-// estimated cost is smaller).
-func UsePatchIndexForDistinct(rows, patches uint64) bool {
-	return CostDistinctPatch(rows, patches) < CostDistinctReference(rows)
-}
-
-// UsePatchIndexForSort is the sort-query decision.
-func UsePatchIndexForSort(rows, patches uint64) bool {
-	return CostSortPatch(rows, patches) < CostSortReference(rows)
-}
-
-// UsePatchIndexForJoin is the join-query decision; small joins (Q12-like)
-// fall back to the reference plan because the cloning overhead outweighs
-// the MergeJoin benefit (Section 6.3).
-func UsePatchIndexForJoin(factRows, patches, dimRows uint64) bool {
-	return CostJoinPatch(factRows, patches, dimRows) < CostJoinReference(factRows, dimRows)
-}

@@ -224,28 +224,31 @@ func TestJoinPlanZBPCleanData(t *testing.T) {
 
 func TestCostModelShapes(t *testing.T) {
 	// PatchIndex wins distinct/sort at low e for large tables.
-	if !UsePatchIndexForDistinct(1_000_000, 10_000) {
+	if ChooseDistinct(1_000_000, 10_000, true) != AccessPatchIndex {
 		t.Fatal("PI should win distinct at e=0.01")
 	}
-	if !UsePatchIndexForSort(1_000_000, 10_000) {
+	if ChooseSort(1_000_000, 10_000, true) != AccessPatchIndex {
 		t.Fatal("PI should win sort at e=0.01")
 	}
+	// Without an index the patch plan is never chosen.
+	if ChooseDistinct(1_000_000, 10_000, false) != AccessReference ||
+		ChooseSort(1_000_000, 10_000, false) != AccessReference {
+		t.Fatal("PI chosen without an index")
+	}
 	// At e=1 the PI distinct plan degenerates to reference + overhead.
-	if UsePatchIndexForDistinct(1000, 1000) {
+	if ChooseDistinct(1000, 1000, true) != AccessReference {
 		t.Fatal("PI should lose distinct at e=1 on small tables")
 	}
 	// Large join: PI wins at low e.
-	if !UsePatchIndexForJoin(1_000_000, 50_000, 10_000) {
+	if a, _ := ChooseJoin(1_000_000, 50_000, 10_000, true, false); a != AccessPatchIndex {
 		t.Fatal("PI should win large join at e=0.05")
 	}
 	// Tiny join (Q12-like): cloning overhead dominates.
-	if UsePatchIndexForJoin(100, 5, 50) {
+	if a, _ := ChooseJoin(100, 5, 50, true, false); a != AccessReference {
 		t.Fatal("PI should lose tiny joins (Section 6.3 Q12)")
 	}
 	// Costs are monotone in patches.
-	if CostDistinctPatch(1000, 100) >= CostDistinctPatch(1000, 900) {
-		// more patches -> more aggregation work
-	} else if CostDistinctPatch(1000, 900) < CostDistinctPatch(1000, 100) {
+	if CostDistinctPatch(1000, 900) < CostDistinctPatch(1000, 100) {
 		t.Fatal("cost not monotone in patches")
 	}
 }

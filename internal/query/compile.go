@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 
 	"patchindex/internal/core"
@@ -11,25 +12,26 @@ import (
 	"patchindex/internal/storage"
 )
 
-// Mode forces or frees the optimizer's access-path choice. Forced modes
-// apply wherever the respective apparatus is available and silently fall
-// back to the generic lowering elsewhere — forcing the patch plan on a
-// query whose inner dimension joins carry no index still hash-joins
-// those inner joins, exactly like the hand-built plans do.
-type Mode int
+// Mode forces or frees the optimizer's access-path choice; it is
+// plan.Mode, the one mode type shared with the engine's entry points.
+// Forced modes apply wherever the respective apparatus is available and
+// silently fall back to the generic lowering elsewhere — forcing the
+// patch plan on a query whose inner dimension joins carry no index still
+// hash-joins those inner joins, exactly like the hand-built plans do.
+type Mode = plan.Mode
 
 const (
 	// Auto lets the cost model choose per node, corrected by the
 	// Chooser's cardinality feedback when one is supplied.
-	Auto Mode = iota
+	Auto = plan.ModeAuto
 	// ForceReference always takes the unoptimized plan.
-	ForceReference
+	ForceReference = plan.ModeReference
 	// ForcePatchIndex takes the PatchIndex plan wherever an index of the
 	// right constraint kind exists.
-	ForcePatchIndex
+	ForcePatchIndex = plan.ModePatchIndex
 	// ForceJoinIndex resolves joins through a matching JoinIndexBinding;
 	// non-join nodes choose as in Auto.
-	ForceJoinIndex
+	ForceJoinIndex = plan.ModeJoinIndex
 )
 
 // JoinIndexBinding offers a precomputed joinindex to the compiler: a
@@ -314,27 +316,10 @@ func (c *compiler) compileAgg(x *aggNode) (exec.Operator, error) {
 }
 
 func (c *compiler) compileSort(x *sortNode) (exec.Operator, error) {
-	// Single-key sort directly over a one-column scan of a NSC-indexed
-	// column: the choosable case (plan.Sort skips sorting the patch-free
-	// stream entirely).
+	// Single-key sort directly over a one-column scan: the choosable
+	// case (plan.Sort skips sorting the patch-free stream entirely).
 	if sc, ok := x.in.(*scanNode); ok && len(x.keys) == 1 && len(sc.cols) == 1 && sc.cols[0] == x.keys[0].Col {
-		t, cols, err := c.table(sc)
-		if err != nil {
-			return nil, err
-		}
-		rows, patches, kind, idxDesc := c.indexStats(t, sc.cols[0])
-		// The patch plan's exclude stream is pre-sorted only in the
-		// index's own direction, so the choosable case requires the
-		// requested direction to match it.
-		if kind == core.NearlySorted && idxDesc == x.keys[0].Desc {
-			access := c.scalarAccess(rows, patches, plan.ChooseSort)
-			c.record(Decision{Node: x.fingerprint(), Access: access, Forced: c.opts.Mode == ForceReference || c.opts.Mode == ForcePatchIndex, FactRows: rows, Patches: patches})
-			inputs := t.Inputs(sc.cols[0])
-			if access == plan.AccessPatchIndex {
-				return plan.Sort(inputs, cols[0], x.keys[0].Desc, c.planOpts()), nil
-			}
-			return plan.SortReference(inputs, cols[0], x.keys[0].Desc, c.planOpts()), nil
-		}
+		return c.lowerUnary(x.fingerprint(), sc, plan.Unary{Sort: true, Desc: x.keys[0].Desc})
 	}
 	op, err := c.compile(x.in)
 	if err != nil {
@@ -352,23 +337,10 @@ func (c *compiler) compileSort(x *sortNode) (exec.Operator, error) {
 }
 
 func (c *compiler) compileDistinct(x *distinctNode) (exec.Operator, error) {
-	// DISTINCT directly over a one-column scan of a NUC-indexed column:
-	// the choosable case (the patch-free stream is unique by invariant).
+	// DISTINCT directly over a one-column scan: the choosable case (the
+	// patch-free stream of a NUC index is unique by invariant).
 	if sc, ok := x.in.(*scanNode); ok && len(x.cols) == 1 && len(sc.cols) == 1 && sc.cols[0] == x.cols[0] {
-		t, cols, err := c.table(sc)
-		if err != nil {
-			return nil, err
-		}
-		rows, patches, kind, _ := c.indexStats(t, sc.cols[0])
-		if kind == core.NearlyUnique {
-			access := c.scalarAccess(rows, patches, plan.ChooseDistinct)
-			c.record(Decision{Node: x.fingerprint(), Access: access, Forced: c.opts.Mode == ForceReference || c.opts.Mode == ForcePatchIndex, FactRows: rows, Patches: patches})
-			inputs := t.Inputs(sc.cols[0])
-			if access == plan.AccessPatchIndex {
-				return plan.Distinct(inputs, cols[0], c.planOpts()), nil
-			}
-			return plan.DistinctReference(inputs, cols[0], c.planOpts()), nil
-		}
+		return c.lowerUnary(x.fingerprint(), sc, plan.Unary{})
 	}
 	op, err := c.compile(x.in)
 	if err != nil {
@@ -379,6 +351,30 @@ func (c *compiler) compileDistinct(x *distinctNode) (exec.Operator, error) {
 		return nil, err
 	}
 	return exec.NewDistinct(op, pos), nil
+}
+
+// lowerUnary lowers u, a DISTINCT or ORDER BY over the one-column scan
+// sc, through plan.LowerUnary, recording the decision when the column's
+// index made the choice a real one. A forced patch plan without a
+// fitting index falls back to the reference plan.
+func (c *compiler) lowerUnary(node string, sc *scanNode, u plan.Unary) (exec.Operator, error) {
+	t, cols, err := c.table(sc)
+	if err != nil {
+		return nil, err
+	}
+	inputs := t.Inputs(sc.cols[0])
+	u.Col = cols[0]
+	op, ch, err := plan.LowerUnary(inputs, u, c.opts.Mode, c.planOpts())
+	if errors.Is(err, plan.ErrNoPatchIndex) {
+		op, ch, err = plan.LowerUnary(inputs, u, plan.ModeReference, c.planOpts())
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ch.Indexed {
+		c.record(Decision{Node: node, Access: ch.Access, Forced: ch.Forced, FactRows: ch.Rows, Patches: ch.Patches})
+	}
+	return op, nil
 }
 
 // indexStats sums a column's per-partition index statistics; kind is -1
@@ -403,19 +399,6 @@ func subSchema(s storage.Schema, cols []int) storage.Schema {
 		out[i] = s[p]
 	}
 	return out
-}
-
-// scalarAccess resolves the mode for a sort/distinct node whose index
-// exists; choose is the Auto-mode cost decision.
-func (c *compiler) scalarAccess(rows, patches uint64, choose func(uint64, uint64, bool) plan.Access) plan.Access {
-	switch c.opts.Mode {
-	case ForceReference:
-		return plan.AccessReference
-	case ForcePatchIndex:
-		return plan.AccessPatchIndex
-	default: // Auto and ForceJoinIndex (joins only) cost-compare.
-		return choose(rows, patches, true)
-	}
 }
 
 func (c *compiler) planOpts() plan.Options {
@@ -716,9 +699,9 @@ func indexOf(list []string, s string) int {
 // spine steps eagerly (its Next is never called).
 type schemaSource struct{ schema storage.Schema }
 
-func (s schemaSource) Schema() storage.Schema      { return s.schema }
-func (s schemaSource) Next() (*exec.Batch, error)  { return nil, nil }
-func (s schemaSource) Close()                      {}
+func (s schemaSource) Schema() storage.Schema     { return s.schema }
+func (s schemaSource) Next() (*exec.Batch, error) { return nil, nil }
+func (s schemaSource) Close()                     {}
 
 // ---- cardinality estimation ----------------------------------------
 

@@ -50,8 +50,13 @@
 //     NSC-indexed join key: reference hash join vs the paper's split
 //     patch plan (plan.Join) vs a precomputed joinindex offered via
 //     Options.JoinIndexes;
-//   - ORDER BY over a NSC-indexed column scan (plan.Sort);
-//   - DISTINCT over a NUC-indexed column scan (plan.Distinct).
+//   - ORDER BY over a one-column scan, which takes the patch plan only
+//     when the column's NSC index is sorted in the requested direction;
+//   - DISTINCT over a one-column scan, which takes the patch plan only
+//     for a NUC index.
+//
+// The last two go through plan.LowerUnary, the lowering the engine's
+// Distinct/SortQuery entry points use too.
 //
 // Inputs are partition row counts, live patch counts (exception rates),
 // and dimension-side cardinality estimates. Estimates start from

@@ -329,12 +329,12 @@ func TestSnapshotQueriesUnderRefreshStream(t *testing.T) {
 			defer q.Close() // closes snap
 
 			// Cross-table prefix consistency of the captured instant.
-			liKeys, err := engine.CollectInt64(snap.MustTable("lineitem").ScanAll("l_orderkey"))
+			liKeys, err := engine.CollectInt64(scanAll(snap.MustTable("lineitem"), "l_orderkey"))
 			if err != nil {
 				t.Error(err)
 				return false
 			}
-			ordKeys, err := engine.CollectInt64(snap.MustTable("orders").ScanAll("o_orderkey"))
+			ordKeys, err := engine.CollectInt64(scanAll(snap.MustTable("orders"), "o_orderkey"))
 			if err != nil {
 				t.Error(err)
 				return false

@@ -62,7 +62,12 @@ type (
 	// QueryOptions tune the query entry points (plan mode, zero-branch
 	// pruning, partition parallelism).
 	QueryOptions = engine.QueryOptions
-	// PlanMode selects reference / PatchIndex / cost-based planning.
+	// PlanMode selects reference / PatchIndex / cost-based planning for
+	// Distinct and SortQuery. It is the same mode type the general query
+	// layer uses. The PatchIndex plan needs a NUC index for Distinct and
+	// a NSC index sorted in the requested direction for SortQuery:
+	// PlanAuto falls back to the reference plan without one, and
+	// PlanPatchIndex returns an error.
 	PlanMode = engine.PlanMode
 
 	// Schema describes a table's columns.

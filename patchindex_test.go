@@ -102,7 +102,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if I64(3).I != 3 || F64(1.5).F != 1.5 || Str("x").S != "x" {
 		t.Fatal("value constructors broken")
 	}
-	rowsOut, err := Collect(tb.ScanAll("id"))
+	scan, err := tb.ScanAll("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOut, err := Collect(scan)
 	if err != nil || len(rowsOut) == 0 {
 		t.Fatalf("Collect: %d rows, err=%v", len(rowsOut), err)
 	}
