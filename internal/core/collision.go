@@ -22,17 +22,25 @@ import (
 //     occurrences and the new tuple all become patches of partition p's
 //     index.
 //   - sealed: an immutable snapshot of the global exception set — the
-//     values once found duplicated, for which the engine maintains the
+//     values found duplicated, for which the engine maintains the
 //     invariant that every LIVE occurrence is a patch: discovery and
 //     collision handling patch all occurrences at sealing time, patch
 //     marks are never removed from surviving rows, and the engine's
 //     exclusive insert/modify paths force-patch any fresh occurrence
 //     of a sealed value (deletes may have eroded the value back to
-//     uniqueness, so the collision join alone would leave it
+//     uniqueness, so a collision check alone would leave it
 //     unpatched). Colliding with a sealed value therefore needs no
 //     cross-partition write: only the NEW tuple becomes a patch,
-//     locally. The snapshot is swapped copy-on-write and read
-//     lock-free through an atomic pointer.
+//     locally. The snapshot is a base set plus a small overlay of
+//     recent seals, swapped copy-on-write (a seal copies the overlay,
+//     not the base) and read lock-free through an atomic pointer.
+//     Every value occurring twice or more is sealed; a sealed value
+//     occurs less often only because deletes or modifies removed
+//     occurrences after it was sealed. Once
+//     the set has doubled since its last rebuild, PruneSealed drops
+//     the values with no live occurrence — only from a caller that
+//     owns every partition, so pruning never races a lock-free sealer
+//     or a batch classifying against an older snapshot.
 //   - blooms[p]: an add-only Bloom filter over partition p's values.
 //     Probing the filters of the OTHER partitions answers "may this
 //     value exist elsewhere as a unique occurrence?" — a hit is a
@@ -62,9 +70,10 @@ import (
 // scan, or it loads the already-swapped fresh filter.
 //
 // Synchronization is the caller's job and mirrors the engine's insert
-// protocol: local maps follow partition ownership; sealed-set swaps
-// happen lock-free from anywhere; filter probes, pre-publication, and
-// Unpublish are safe from any context; plain AddBloom and the filter
+// protocol: local maps follow partition ownership; seals happen
+// lock-free from anywhere, PruneSealed only where the caller owns
+// every partition; filter probes, pre-publication, and Unpublish are
+// safe from any context; plain AddBloom and the filter
 // rebuilds require owning the target partition (rebuilds additionally
 // rely on partition ownership to serialize against each other).
 // Sealed() alone is safe from anywhere.
@@ -97,26 +106,107 @@ type inflightLedger struct {
 
 // NUCExceptions is one immutable snapshot of the sealed global exception
 // set. It is never mutated after publication; NUCState swaps in a fresh
-// copy to grow it.
+// snapshot to change it. A snapshot is a large base set plus a small
+// overlay of the values sealed since the base was last rebuilt, so a
+// seal copies only the overlay (see sealedSet).
 type NUCExceptions struct {
-	ints map[int64]struct{}
-	strs map[string]struct{}
+	ints sealedSet[int64]
+	strs sealedSet[string]
+	// pruneAt is the size at which PruneSealed next rebuilds the set
+	// from the live values: twice the size the last rebuild left, and
+	// never below pruneFloor.
+	pruneAt int
+}
+
+// pruneFloor is the smallest sealed set PruneSealed rebuilds; below it
+// a rebuild would save less than it costs.
+const pruneFloor = 256
+
+// overlayFloor is the overlay size a seal may always reach before it
+// folds the overlay into the base; past it the overlay may grow to
+// √|base|.
+const overlayFloor = 16
+
+// sealedSet is one column kind's sealed values: an immutable base and
+// an immutable overlay, disjoint. A seal copies the overlay and adds
+// the new values; once the overlay outgrows max(overlayFloor, √|base|)
+// the seal folds it into a fresh base instead. Folding every √|base|
+// values makes a seal cost O(√|base|) amortized, not O(|base|).
+type sealedSet[T comparable] struct {
+	base, overlay map[T]struct{}
+}
+
+func (s sealedSet[T]) contains(v T) bool {
+	if _, ok := s.overlay[v]; ok {
+		return true
+	}
+	_, ok := s.base[v]
+	return ok
+}
+
+func (s sealedSet[T]) len() int { return len(s.base) + len(s.overlay) }
+
+// with returns s plus those of vals it lacks, and false (with s itself)
+// when it lacks none.
+func (s sealedSet[T]) with(vals []T) (sealedSet[T], bool) {
+	var overlay map[T]struct{}
+	for _, v := range vals {
+		if s.contains(v) {
+			continue
+		}
+		if overlay == nil {
+			overlay = make(map[T]struct{}, len(s.overlay)+len(vals))
+			for k := range s.overlay {
+				overlay[k] = struct{}{}
+			}
+		}
+		overlay[v] = struct{}{}
+	}
+	if overlay == nil {
+		return s, false
+	}
+	if n := len(overlay); n <= overlayFloor || n*n <= len(s.base) {
+		return sealedSet[T]{base: s.base, overlay: overlay}, true
+	}
+	base := make(map[T]struct{}, len(s.base)+len(overlay))
+	for k := range s.base {
+		base[k] = struct{}{}
+	}
+	for k := range overlay {
+		base[k] = struct{}{}
+	}
+	return sealedSet[T]{base: base}, true
+}
+
+// live returns the values of s for which keep holds, folded into one
+// base.
+func (s sealedSet[T]) live(keep func(T) bool) sealedSet[T] {
+	base := make(map[T]struct{})
+	for _, m := range []map[T]struct{}{s.base, s.overlay} {
+		for k := range m {
+			if keep(k) {
+				base[k] = struct{}{}
+			}
+		}
+	}
+	return sealedSet[T]{base: base}
+}
+
+// newExceptions is the snapshot a freshly built state starts from.
+func newExceptions(ints map[int64]struct{}, strs map[string]struct{}) *NUCExceptions {
+	e := &NUCExceptions{ints: sealedSet[int64]{base: ints}, strs: sealedSet[string]{base: strs}}
+	e.pruneAt = max(pruneFloor, 2*e.Len())
+	return e
 }
 
 // ContainsInt64 reports whether v is a sealed duplicated value.
-func (e *NUCExceptions) ContainsInt64(v int64) bool {
-	_, ok := e.ints[v]
-	return ok
-}
+func (e *NUCExceptions) ContainsInt64(v int64) bool { return e.ints.contains(v) }
 
 // ContainsString reports whether v is a sealed duplicated value.
-func (e *NUCExceptions) ContainsString(v string) bool {
-	_, ok := e.strs[v]
-	return ok
-}
+func (e *NUCExceptions) ContainsString(v string) bool { return e.strs.contains(v) }
 
 // Len returns the number of sealed duplicated values.
-func (e *NUCExceptions) Len() int { return len(e.ints) + len(e.strs) }
+func (e *NUCExceptions) Len() int { return e.ints.len() + e.strs.len() }
 
 // hashString folds a string value into the int64 key space of the Bloom
 // filters (inline FNV-1a — the hasher object and []byte conversion of
@@ -174,7 +264,7 @@ func NewNUCStateInt64(counts []map[int64]uint32) *NUCState {
 		st.blooms[p].Store(pb)
 		st.inflight[p].keys = make(map[int64]int)
 	}
-	st.sealed.Store(&NUCExceptions{ints: MergeNUCDuplicatesInt64(counts)})
+	st.sealed.Store(newExceptions(MergeNUCDuplicatesInt64(counts), nil))
 	return st
 }
 
@@ -201,7 +291,7 @@ func NewNUCStateString(counts []map[string]uint32) *NUCState {
 		st.blooms[p].Store(pb)
 		st.inflight[p].keys = make(map[int64]int)
 	}
-	st.sealed.Store(&NUCExceptions{strs: MergeNUCDuplicatesString(counts)})
+	st.sealed.Store(newExceptions(nil, MergeNUCDuplicatesString(counts)))
 	return st
 }
 
@@ -375,47 +465,73 @@ func (st *NUCState) PendingPublications(p int) int {
 }
 
 // SealDuplicatesInt64 publishes newly duplicated values into a fresh
-// exception-set snapshot. The swap is a compare-and-swap loop, so
-// concurrent sealers (parallel insert batches publishing at once)
+// exception-set snapshot; values already sealed are skipped, and a
+// call that adds nothing swaps nothing. The snapshot shares its base
+// with its predecessor and copies only the overlay, except when the
+// overlay folds (sealedSet.with). The swap is a compare-and-swap loop,
+// so concurrent sealers (parallel insert batches publishing at once)
 // compose without a lock and without losing each other's values;
 // concurrent Sealed() readers keep their older, still-correct snapshot.
 func (st *NUCState) SealDuplicatesInt64(vals []int64) {
-	if len(vals) == 0 {
-		return
-	}
+	st.seal(func(e *NUCExceptions) (*NUCExceptions, bool) {
+		ints, ok := e.ints.with(vals)
+		return &NUCExceptions{ints: ints, strs: e.strs, pruneAt: e.pruneAt}, ok
+	})
+}
+
+// SealDuplicatesString is SealDuplicatesInt64 for string columns.
+func (st *NUCState) SealDuplicatesString(vals []string) {
+	st.seal(func(e *NUCExceptions) (*NUCExceptions, bool) {
+		strs, ok := e.strs.with(vals)
+		return &NUCExceptions{ints: e.ints, strs: strs, pruneAt: e.pruneAt}, ok
+	})
+}
+
+func (st *NUCState) seal(add func(*NUCExceptions) (*NUCExceptions, bool)) {
 	for {
 		old := st.sealed.Load()
-		next := make(map[int64]struct{}, len(old.ints)+len(vals))
-		for v := range old.ints {
-			next[v] = struct{}{}
-		}
-		for _, v := range vals {
-			next[v] = struct{}{}
-		}
-		if st.sealed.CompareAndSwap(old, &NUCExceptions{ints: next, strs: old.strs}) {
+		next, ok := add(old)
+		if !ok || st.sealed.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// SealDuplicatesString is SealDuplicatesInt64 for string columns.
-func (st *NUCState) SealDuplicatesString(vals []string) {
-	if len(vals) == 0 {
-		return
+// PruneDue reports whether the sealed set has reached the size at which
+// PruneSealed rebuilds it. Safe from any context.
+func (st *NUCState) PruneDue() bool {
+	e := st.sealed.Load()
+	return e.Len() >= e.pruneAt
+}
+
+// PruneSealed rebuilds the sealed set from its values that still have a
+// live occurrence, once PruneDue: a value whose occurrences were all
+// deleted or modified away drops out, which bounds the set by the live
+// duplicates instead of by every value ever duplicated. Dropping such a
+// value keeps the invariant that every live occurrence of a sealed
+// value is a patch (it has none), and every value occurring twice or
+// more stays sealed. The rebuild costs O(|set| · partitions) and runs
+// only after the set doubled, so it adds O(partitions) per sealed
+// value. Returns whether it pruned.
+//
+// The caller owns EVERY partition (the exclusive structure lock): the
+// global counts must hold still, and no lock-free sealer may run, since
+// a batch that classified a value as sealed may not see it unsealed
+// before it commits. The trigger depends only on the set's contents,
+// so two tables driven through the same operations prune at the same
+// operation whichever insert path each one takes.
+func (st *NUCState) PruneSealed() bool {
+	old := st.sealed.Load()
+	if old.Len() < old.pruneAt {
+		return false
 	}
-	for {
-		old := st.sealed.Load()
-		next := make(map[string]struct{}, len(old.strs)+len(vals))
-		for v := range old.strs {
-			next[v] = struct{}{}
-		}
-		for _, v := range vals {
-			next[v] = struct{}{}
-		}
-		if st.sealed.CompareAndSwap(old, &NUCExceptions{ints: old.ints, strs: next}) {
-			return
-		}
+	next := &NUCExceptions{
+		ints: old.ints.live(func(v int64) bool { return st.GlobalCountInt64(v) > 0 }),
+		strs: old.strs.live(func(v string) bool { return st.GlobalCountString(v) > 0 }),
 	}
+	next.pruneAt = max(pruneFloor, 2*next.Len())
+	st.sealed.Store(next)
+	return true
 }
 
 // RebuildBloomPartition rebuilds partition p's filter when its add

@@ -3,11 +3,15 @@ package core
 import "patchindex/internal/lis"
 
 // Update handling per Table 1 of the paper. Delete handling for both
-// constraints is Index.HandleDelete. The NUC insert/modify path runs the
-// join query of Fig. 5 — that query is built from executor operators by
-// the engine package, which then feeds the resulting rowIDs into
-// AddPatches; see engine.(*Database).Insert. The NSC handlers below are
-// local computations on the inserted/modified values and live here.
+// constraints is Index.HandleDelete. NUC insert handling runs the join
+// query of Fig. 5 — built from executor operators by the engine
+// package, which feeds the resulting rowIDs into HandleInsertNUC; see
+// engine.(*Database).Insert. NUC modify handling adds the same patches
+// the Fig. 5 join would, but the engine classifies the new values from
+// the sharded collision state (NUCState's exact per-partition counts)
+// instead of joining, and marks the rows with AddPatches; see
+// engine.(*Database).Modify. The NSC handlers below are local
+// computations on the inserted/modified values and live here.
 
 // HandleInsertNSC processes an insert of the given values (appended at
 // the logical end of the indexed column, in order) for a nearly sorted
@@ -100,17 +104,6 @@ func (x *Index) HandleInsertNUC(inserted int, join NUCJoinResult) {
 		panic("core: HandleInsertNUC on a non-NUC index")
 	}
 	x.Extend(uint64(inserted))
-	x.AddPatches(sortedU64(join.InsertedSide))
-	x.AddPatches(sortedU64(join.TableSide))
-}
-
-// HandleModifyNUC merges the join result of the NUC modify handling
-// query (same shape as insert handling, without the extend — the table
-// cardinality does not change, Section 5.2).
-func (x *Index) HandleModifyNUC(join NUCJoinResult) {
-	if x.constraint != NearlyUnique {
-		panic("core: HandleModifyNUC on a non-NUC index")
-	}
 	x.AddPatches(sortedU64(join.InsertedSide))
 	x.AddPatches(sortedU64(join.TableSide))
 }

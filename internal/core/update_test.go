@@ -91,11 +91,6 @@ func TestHandleInsertModifyNUC(t *testing.T) {
 	if !x.IsPatch(1) || !x.IsPatch(3) {
 		t.Fatalf("patches = %v", x.Patches())
 	}
-	// Modifying rowID 0 to value 30 collides with rowID 2.
-	x.HandleModifyNUC(NUCJoinResult{InsertedSide: []uint64{0}, TableSide: []uint64{2}})
-	if x.Rows() != 4 || x.NumPatches() != 4 {
-		t.Fatalf("after modify: rows=%d patches=%d", x.Rows(), x.NumPatches())
-	}
 }
 
 func TestHandlersPanicOnWrongConstraint(t *testing.T) {
@@ -105,7 +100,6 @@ func TestHandlersPanicOnWrongConstraint(t *testing.T) {
 		"InsertNSC on NUC": func() { nuc.HandleInsertNSC([]int64{1}) },
 		"ModifyNSC on NUC": func() { nuc.HandleModifyNSC([]uint64{0}) },
 		"InsertNUC on NSC": func() { nsc.HandleInsertNUC(0, NUCJoinResult{}) },
-		"ModifyNUC on NSC": func() { nsc.HandleModifyNUC(NUCJoinResult{}) },
 	} {
 		func() {
 			defer func() {

@@ -65,9 +65,9 @@
 //   - structure write lock alone: table-wide operations that mutate
 //     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load)
 //     and updates whose index maintenance needs a global table view:
-//     Insert and NUC-column Modify (their collision join probes every
-//     partition), and the fallback of the partition-parallel insert
-//     path.
+//     Insert (its Fig. 5 collision join probes every partition),
+//     NUC-column Modify (it reads every partition's collision counts),
+//     and the fallback of the partition-parallel insert path.
 //   - structure read lock + one partition lock: partition-scoped
 //     updates — DeleteRowIDs, Modify of columns without a NUC index,
 //     and each partition chunk of a batched insert (InsertRows,
@@ -103,11 +103,14 @@
 // two racing batches from both missing each other). A batch that stays
 // classifiable locally commits chunk by chunk in partition-lock mode; a
 // cross-partition candidate collision falls back to the exclusive lock,
-// which re-checks exactly against the count maps and only joins when
-// the collision is real. A concurrent snapshot observes a prefix of a
-// multi-partition batch's chunks (each chunk atomically); Insert and
-// single-partition batches remain all-or-nothing. See insert.go for the
-// full protocol.
+// which re-checks exactly against the count maps and patches a real
+// collision's foreign occurrences by scanning only the partitions that
+// hold the value. NUC-column Modify classifies its new values from the
+// same count maps under the exclusive lock, so Insert is the only
+// update that runs the Fig. 5 join. A concurrent snapshot observes a
+// prefix of a multi-partition batch's chunks (each chunk atomically);
+// Insert and single-partition batches remain all-or-nothing. See
+// insert.go for the full protocol.
 //
 // # The maintenance daemon
 //
@@ -269,9 +272,11 @@ import (
 // including inserts into NUC-indexed tables, whose collision handling
 // probes sharded per-partition state instead of joining globally and
 // falls back to the exclusive-lock join only on cross-partition
-// candidate collisions. Table-wide updates (Insert, Modify of a
-// NUC-indexed column — their index maintenance joins against every
-// partition) and DDL serialize on the table's structure lock.
+// candidate collisions. Table-wide updates (Insert, whose index
+// maintenance joins against every partition, and Modify of a
+// NUC-indexed column, which classifies its new values from every
+// partition's collision counts) and DDL serialize on the table's
+// structure lock.
 //
 // Queries are snapshot-isolated from updates (the MVCC-lite analogue of
 // the host system's snapshot isolation the paper assumes, Section 5.4):
@@ -380,7 +385,8 @@ type Table struct {
 
 	// nuc[column] is the partition-sharded collision state of a
 	// NUC-indexed column (core.NUCState), created and dropped together
-	// with the index. Its per-partition count maps follow partition
+	// with the index: every NUC index has one (CreatePatchIndex,
+	// RestorePatchIndexes and so Recover install it). Its per-partition count maps follow partition
 	// ownership like the index slots; its sealed exception set and
 	// per-partition Bloom filters (the engine's only Bloom filters) use
 	// lock-free atomics with the pre-publication ordering documented in
@@ -396,8 +402,8 @@ type Table struct {
 
 	// collisionJoins counts executions of the global collision handling
 	// (the Fig. 5 join and its string-column equivalent) — the paper's
-	// Insert/Modify path of record. The partition-parallel insert path
-	// never runs it (its exact retry patches foreign partitions from
+	// Insert path of record. NUC-column Modify and the
+	// partition-parallel insert path never run it (both classify from
 	// the count maps); CollisionJoins lets tests pin that.
 	collisionJoins atomic.Uint64
 
@@ -806,7 +812,7 @@ func (t *Table) CreatePatchIndex(column string, constraint core.Constraint, opts
 // RestorePatchIndexes installs per-partition indexes restored from
 // checkpoints (Section 3.4: after a restart, PatchIndexes are either
 // recreated or read back from a persisted checkpoint). The slice must
-// hold one index per partition.
+// hold one non-nil index per partition.
 func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -814,10 +820,15 @@ func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 		panic(fmt.Sprintf("engine: RestorePatchIndexes got %d indexes for %d partitions",
 			len(indexes), t.store.NumPartitions()))
 	}
+	for p, x := range indexes {
+		if x == nil {
+			panic(fmt.Sprintf("engine: RestorePatchIndexes got no index for partition %d", p))
+		}
+	}
 	t.indexes[column] = indexes
 	// A restored NUC index needs its collision state recomputed from the
 	// restored data (checkpoints persist only the patch sets).
-	if indexes[0] != nil && indexes[0].ConstraintKind() == core.NearlyUnique {
+	if indexes[0].ConstraintKind() == core.NearlyUnique {
 		t.rebuildNUCStateLocked(column)
 	} else {
 		delete(t.nuc, column)

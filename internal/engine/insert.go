@@ -73,10 +73,11 @@ type fastInsertCol struct {
 	knownPatch [][]bool
 	// foreignHits[q] (exact mode only): batch values that already occur
 	// in foreign partition q per the count maps — real cross-partition
-	// collisions. The retry patches q's existing occurrences straight
-	// from these sets instead of re-running the Fig. 5 global join.
-	foreignHitsInt map[int]map[int64]struct{}
-	foreignHitsStr map[int]map[string]struct{}
+	// collisions, repeats allowed. The retry patches q's existing
+	// occurrences straight from these values instead of re-running the
+	// Fig. 5 global join.
+	foreignHitsInt map[int][]int64
+	foreignHitsStr map[int][]string
 	// dupTargets maps a batch-internal duplicate value to the set of
 	// partitions the batch inserts it into: those partitions are
 	// excluded from the value's foreign probes (the pre-published bits
@@ -114,8 +115,8 @@ func (t *Table) InsertStats() (fast, fallback uint64) {
 
 // CollisionJoins reports how many global collision handling queries
 // (the Fig. 5 join, or its string-column equivalent) the table has run.
-// Insert and NUC-column Modify are its only sources; the
-// partition-parallel insert path resolves even real cross-partition
+// Insert is its only source: NUC-column Modify and the
+// partition-parallel insert path resolve even real cross-partition
 // collisions from the count maps without it.
 func (t *Table) CollisionJoins() uint64 { return t.collisionJoins.Load() }
 
@@ -181,8 +182,8 @@ func (db *Database) Insert(table string, rows []storage.Row) error {
 // sealed exception set; a cross-partition candidate collision — real,
 // a filter false positive, or a value raced by a concurrent batch —
 // falls the whole batch back to the exclusive lock, which re-checks
-// exactly and runs Insert's collision join only for genuine
-// cross-partition collisions.
+// exactly against the count maps and patches genuine cross-partition
+// collisions without Insert's collision join.
 //
 // Chunks commit in ascending partition order; a concurrent snapshot may
 // observe a prefix of them (each chunk atomically). Use Insert or
@@ -231,15 +232,21 @@ func (db *Database) InsertRowsPartition(table string, partition int, rows []stor
 // per-partition value scans, never the Fig. 5 global join (which stays
 // the paper's Insert path of record).
 func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
-	rejected, done, err := t.insertFastPath(db, perPart)
+	first, done, err := t.insertFastPath(db, perPart)
 	if done {
+		// The fast path cannot prune the sealed sets it grew (pruning
+		// needs every partition); when one is due, prune it now, at the
+		// end of the same operation as Insert or the retry would.
+		if first.pruneDue() {
+			t.pruneSealed()
+		}
 		return err
 	}
 	// The rejected attempt pre-published this batch's values; their
 	// ledger entries must outlive the retry below (they keep a
 	// concurrent filter rebuild from dropping the bits before the
 	// retry commits the counts), so they retire only on the way out.
-	defer unpublish(rejected)
+	defer unpublish(first)
 	t.fallbackInserts.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -253,14 +260,7 @@ func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 	// saturated filters are rebuilt AFTER the chunks commit, when the
 	// count maps include the batch, and the still-ledgered values
 	// cover any concurrent batch's uncommitted ones.
-	plan, ok := t.planFastInsert(perPart, true)
-	if !ok {
-		// Degenerate only: a NUC index without collision state
-		// (defensive for externally restored indexes) cannot be
-		// classified shardedly; run the global join path.
-		//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
-		return t.insertExclusiveLocked(db, perPart)
-	}
+	plan, _ := t.planFastInsert(perPart, true) // exact planning never rejects
 	// A chunk can fail only on its WAL append, before mutating anything:
 	// stop there (the committed chunks are a legal prefix) but still run
 	// the publication steps — sealing the discovered duplicates and
@@ -283,7 +283,25 @@ func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 	for _, st := range t.nuc {
 		st.RebuildOverfullBlooms()
 	}
+	t.pruneSealedLocked()
 	return chunkErr
+}
+
+// pruneSealed prunes every NUC column's sealed set that is due, under
+// the exclusive structure lock.
+func (t *Table) pruneSealed() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.pruneSealedLocked()
+}
+
+// pruneSealedLocked prunes every NUC column's sealed set that is due
+// (core.NUCState.PruneSealed). The caller holds the structure lock
+// exclusively.
+func (t *Table) pruneSealedLocked() {
+	for _, st := range t.nuc {
+		st.PruneSealed()
+	}
 }
 
 // insertFastPath classifies and commits the batch under the shared
@@ -292,8 +310,9 @@ func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 // retires the rejected plan's pre-publications once the retry commits.
 // done=true with a non-nil err is a WAL append failure: the chunks
 // before the failing one committed (a legal prefix), the rest were
-// skipped, and the batch is NOT retried.
-func (t *Table) insertFastPath(db *Database, perPart [][]storage.Row) (rejected *fastInsertPlan, done bool, err error) {
+// skipped, and the batch is NOT retried. Either way the plan is
+// returned.
+func (t *Table) insertFastPath(db *Database, perPart [][]storage.Row) (plan *fastInsertPlan, done bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	plan, ok := t.planFastInsert(perPart, false)
@@ -321,7 +340,18 @@ func (t *Table) insertFastPath(db *Database, perPart [][]storage.Row) (rejected 
 	// the publication still runs — sealing values whose rows were
 	// skipped is conservative-safe.
 	unpublish(plan)
-	return nil, true, err
+	return plan, true, err
+}
+
+// pruneDue reports whether a sealed set the plan's columns grew is due
+// for pruning.
+func (pl *fastInsertPlan) pruneDue() bool {
+	for ci := range pl.cols {
+		if pl.cols[ci].state.PruneDue() {
+			return true
+		}
+	}
+	return false
 }
 
 // prePublish registers every value of the plan's batch in its target
@@ -384,28 +414,54 @@ func (t *Table) patchForeignCollisionsLocked(plan *fastInsertPlan) {
 	for ci := range plan.cols {
 		fc := &plan.cols[ci]
 		idx := t.mutableIndexesLocked(fc.column)
-		if fc.isInt {
-			for q, hits := range fc.foreignHitsInt {
-				var rids []uint64
-				for r, v := range t.viewLocked(q).MaterializeInt64(fc.col) {
-					if _, ok := hits[v]; ok {
-						rids = append(rids, uint64(r))
-					}
-				}
-				idx[q].AddPatches(rids)
-			}
-		} else {
-			for q, hits := range fc.foreignHitsStr {
-				var rids []uint64
-				for r, v := range t.viewLocked(q).MaterializeString(fc.col) {
-					if _, ok := hits[v]; ok {
-						rids = append(rids, uint64(r))
-					}
-				}
-				idx[q].AddPatches(rids)
-			}
+		for q := range idx {
+			idx[q].AddPatches(t.occurrencesLocked(q, fc.col, fc.foreignHitsInt[q], fc.foreignHitsStr[q]))
 		}
 	}
+}
+
+// occurrencesLocked returns the ascending rowIDs of partition q whose
+// value in column col is one of ints (an int64 column) or strs (a
+// string column); with both empty it reads nothing. It is the engine's
+// one value→rowID lookup for collision handling, which patches the
+// other occurrences of a few colliding values. The caller owns
+// partition q.
+func (t *Table) occurrencesLocked(q, col int, ints []int64, strs []string) []uint64 {
+	switch {
+	case len(ints) > 0:
+		return valuePositions(t.viewLocked(q).MaterializeInt64(col), ints)
+	case len(strs) > 0:
+		return valuePositions(t.viewLocked(q).MaterializeString(col), strs)
+	}
+	return nil
+}
+
+// valuePositions returns the ascending positions of vals holding any
+// of want (repeats allowed). A few wanted values are compared directly,
+// sparing a map probe per row.
+func valuePositions[T comparable](vals, want []T) []uint64 {
+	var out []uint64
+	if len(want) <= 8 {
+		for r, v := range vals {
+			for _, w := range want {
+				if v == w {
+					out = append(out, uint64(r))
+					break
+				}
+			}
+		}
+		return out
+	}
+	set := make(map[T]struct{}, len(want))
+	for _, w := range want {
+		set[w] = struct{}{}
+	}
+	for r, v := range vals {
+		if _, ok := set[v]; ok {
+			out = append(out, uint64(r))
+		}
+	}
+	return out
 }
 
 // planFastInsert classifies the batch for the sharded insert handling.
@@ -432,9 +488,6 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 			continue
 		}
 		st := t.nuc[column]
-		if st == nil {
-			return nil, false // restored index without state; be conservative
-		}
 		col := t.store.Schema().MustColumnIndex(column)
 		fc := fastInsertCol{
 			column: column,
@@ -551,15 +604,10 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 								// patches, and v gets sealed at publication.
 								fc.knownPatch[p][i] = true
 								if fc.foreignHitsInt == nil {
-									fc.foreignHitsInt = make(map[int]map[int64]struct{})
+									fc.foreignHitsInt = make(map[int][]int64)
 								}
-								if fc.foreignHitsInt[q] == nil {
-									fc.foreignHitsInt[q] = make(map[int64]struct{})
-								}
-								if _, seen := fc.foreignHitsInt[q][v]; !seen {
-									fc.foreignHitsInt[q][v] = struct{}{}
-									fc.newDupInt = append(fc.newDupInt, v)
-								}
+								fc.foreignHitsInt[q] = append(fc.foreignHitsInt[q], v)
+								fc.newDupInt = append(fc.newDupInt, v)
 							}
 						} else if fc.state.PartitionMayContainInt64(q, v) {
 							return plan, false
@@ -582,15 +630,10 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 							if fc.state.LocalCountString(q, v) > 0 {
 								fc.knownPatch[p][i] = true
 								if fc.foreignHitsStr == nil {
-									fc.foreignHitsStr = make(map[int]map[string]struct{})
+									fc.foreignHitsStr = make(map[int][]string)
 								}
-								if fc.foreignHitsStr[q] == nil {
-									fc.foreignHitsStr[q] = make(map[string]struct{})
-								}
-								if _, seen := fc.foreignHitsStr[q][v]; !seen {
-									fc.foreignHitsStr[q][v] = struct{}{}
-									fc.newDupStr = append(fc.newDupStr, v)
-								}
+								fc.foreignHitsStr[q] = append(fc.foreignHitsStr[q], v)
+								fc.newDupStr = append(fc.newDupStr, v)
 							}
 						} else if fc.state.PartitionMayContainString(q, v) {
 							return plan, false
@@ -623,53 +666,33 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 	joins := make([]core.NUCJoinResult, len(plan.cols))
 	for ci := range plan.cols {
 		fc := &plan.cols[ci]
-		var scanInt map[int64]struct{}
-		var scanStr map[string]struct{}
+		// Purely local collisions: the existing occurrences join the
+		// patch set too, found by one partition-local scan (collisions
+		// are rare on nearly unique columns, so the scan rarely runs).
+		var scanInt []int64
+		var scanStr []string
 		for i := range prows {
 			patch := fc.knownPatch[p][i]
 			if fc.isInt {
 				v := fc.intVals[p][i]
 				if !fc.sealed.ContainsInt64(v) && fc.state.LocalCountInt64(p, v) > 0 {
-					// A purely local collision: the existing occurrences
-					// join the patch set too, found by one partition-local
-					// scan below (collisions are rare on nearly unique
-					// columns, so the scan rarely runs).
 					patch = true
-					if scanInt == nil {
-						scanInt = make(map[int64]struct{})
-					}
-					scanInt[v] = struct{}{}
-					fc.newDupInt = append(fc.newDupInt, v)
+					scanInt = append(scanInt, v)
 				}
 			} else {
 				v := fc.strVals[p][i]
 				if !fc.sealed.ContainsString(v) && fc.state.LocalCountString(p, v) > 0 {
 					patch = true
-					if scanStr == nil {
-						scanStr = make(map[string]struct{})
-					}
-					scanStr[v] = struct{}{}
-					fc.newDupStr = append(fc.newDupStr, v)
+					scanStr = append(scanStr, v)
 				}
 			}
 			if patch {
 				joins[ci].InsertedSide = append(joins[ci].InsertedSide, uint64(base+i))
 			}
 		}
-		if scanInt != nil {
-			for r, v := range t.viewLocked(p).MaterializeInt64(fc.col) {
-				if _, ok := scanInt[v]; ok {
-					joins[ci].TableSide = append(joins[ci].TableSide, uint64(r))
-				}
-			}
-		}
-		if scanStr != nil {
-			for r, v := range t.viewLocked(p).MaterializeString(fc.col) {
-				if _, ok := scanStr[v]; ok {
-					joins[ci].TableSide = append(joins[ci].TableSide, uint64(r))
-				}
-			}
-		}
+		joins[ci].TableSide = t.occurrencesLocked(p, fc.col, scanInt, scanStr)
+		fc.newDupInt = append(fc.newDupInt, scanInt...)
+		fc.newDupStr = append(fc.newDupStr, scanStr...)
 	}
 
 	t.mutableDeltaLocked(p).InsertRows(prows)
@@ -794,28 +817,26 @@ func (t *Table) insertExclusiveLocked(db *Database, perPart [][]storage.Row) err
 			for p := range idx {
 				idx[p].HandleInsertNUC(len(perPart[p]), joins[p])
 			}
-			if st := t.nuc[column]; st != nil {
-				// Keep the sealed-set invariant the parallel path relies
-				// on — every LIVE occurrence of a sealed value is a
-				// patch. A sealed value may have had all its occurrences
-				// deleted, so the collision join legitimately comes back
-				// empty for a fresh one; patch it anyway (conservative:
-				// the extra patch costs plan optimality, never
-				// correctness — deletes already erode optimality the
-				// same way).
-				sealed := st.Sealed()
-				for p, prows := range perPart {
-					var forced []uint64
-					for i, r := range prows {
-						if isInt && sealed.ContainsInt64(r[col].I) ||
-							!isInt && sealed.ContainsString(r[col].S) {
-							forced = append(forced, uint64(baseRows[p]+i))
-						}
+			// Keep the sealed-set invariant the parallel path relies on —
+			// every LIVE occurrence of a sealed value is a patch. A sealed
+			// value may have had all its occurrences deleted, so the
+			// collision join legitimately comes back empty for a fresh
+			// one; patch it anyway (conservative: the extra patch costs
+			// plan optimality, never correctness — deletes already erode
+			// optimality the same way).
+			st := t.nuc[column]
+			sealed := st.Sealed()
+			for p, prows := range perPart {
+				var forced []uint64
+				for i, r := range prows {
+					if isInt && sealed.ContainsInt64(r[col].I) ||
+						!isInt && sealed.ContainsString(r[col].S) {
+						forced = append(forced, uint64(baseRows[p]+i))
 					}
-					idx[p].AddPatches(forced)
 				}
-				t.maintainNUCStateInsertLocked(st, col, perPart)
+				idx[p].AddPatches(forced)
 			}
+			t.maintainNUCStateInsertLocked(st, col, perPart)
 		}
 	}
 	if db.AutoCheckpoint {
@@ -827,10 +848,11 @@ func (t *Table) insertExclusiveLocked(db *Database, perPart [][]storage.Row) err
 // maintainNUCStateInsertLocked folds an exclusive-lock insert into the
 // sharded collision state: local counts rise, values that just became
 // duplicated are sealed, the partition filters learn the inserted
-// values, and saturated filters are rebuilt (safe only here, where the
-// caller owns every partition). The fallback path's healing happens
-// through this call: a batch that fell back because a filter degraded
-// rebuilds it while it holds the exclusive lock anyway.
+// values, saturated filters are rebuilt, and a due sealed set is
+// pruned (both safe only here, where the caller owns every partition).
+// The fallback path's healing happens through this call: a batch that
+// fell back because a filter degraded rebuilds it while it holds the
+// exclusive lock anyway.
 func (t *Table) maintainNUCStateInsertLocked(st *core.NUCState, col int, perPart [][]storage.Row) {
 	if st.IsString() {
 		for p, prows := range perPart {
@@ -880,6 +902,7 @@ func (t *Table) maintainNUCStateInsertLocked(st *core.NUCState, col int, perPart
 		st.SealDuplicatesInt64(newDup)
 	}
 	st.RebuildOverfullBlooms()
+	st.PruneSealed()
 }
 
 func perPartStrings(perPart [][]storage.Row, col int, kind storage.Kind) [][]string {

@@ -24,12 +24,15 @@ import (
 // their target partition (delete handling and NSC modify handling are
 // partition-local, Table 1), so they run under that partition's lock
 // alone and disjoint-partition updates proceed in parallel. Insert and
-// NUC-column Modify run their collision join against every partition
-// (uniqueness is a global property, Section 5.1) and take the exclusive
-// structure lock; InsertRows (insert.go) is the partition-parallel
-// insert path, which replaces the global join with the sharded
-// collision state and falls back here on cross-partition candidate
-// collisions. An auto-checkpoint inside a partition-scoped update
+// NUC-column Modify take the exclusive structure lock, because
+// uniqueness is a global property (Section 5.1): Insert runs the Fig. 5
+// collision join against every partition, and Modify classifies its
+// new values from the exact per-partition counts of the sharded
+// collision state (core.NUCState) and scans only the partitions that
+// hold a colliding value. InsertRows (insert.go) is the
+// partition-parallel insert path, which replaces the global join with
+// the sharded collision state and falls back to an exclusive-lock
+// exact retry on cross-partition candidate collisions. An auto-checkpoint inside a partition-scoped update
 // propagates only that partition's delta; other partitions' deltas
 // (pending from AutoCheckpoint-off phases) are left for their own
 // updates or an explicit Checkpoint.
@@ -41,9 +44,8 @@ import (
 // maps follow the same ownership as the index slots, so partition-
 // scoped updates touch only their partition's map.
 
-// changedRef identifies one inserted or modified tuple across the
-// partitioned table, together with its (new) value in the indexed
-// column.
+// changedRef identifies one inserted tuple across the partitioned
+// table, together with its value in the indexed column.
 type changedRef struct {
 	part int
 	rid  uint64
@@ -91,7 +93,7 @@ func (t *Table) hasNUCIndex() bool {
 	return false
 }
 
-// nucCollisions runs the insert/modify handling query of Fig. 5 against
+// nucCollisions runs the insert handling query of Fig. 5 against
 // every partition: the changed tuples are the build side of a HashJoin
 // whose build phase propagates the changed values as scan ranges onto
 // each partition's table scan (dynamic range propagation); the rowIDs of
@@ -248,10 +250,11 @@ func (t *Table) deleteRowIDsLocked(db *Database, partition int, rowIDs []uint64)
 	// Fold the deleted occurrences out of the sharded collision state
 	// before the delta forgets their values. A sealed duplicated value
 	// stays sealed even when deletes erode it back to uniqueness (or to
-	// zero occurrences): surviving occurrences keep their patch marks,
-	// and the exclusive insert/modify paths force-patch any FRESH
-	// occurrence of a sealed value, so "every live occurrence of a
-	// sealed value is a patch" keeps holding — the invariant the
+	// zero occurrences, until an exclusive-lock prune drops it; see
+	// core.NUCState.PruneSealed): surviving occurrences keep their
+	// patch marks, and the exclusive insert/modify paths force-patch
+	// any FRESH occurrence of a sealed value, so "every live occurrence
+	// of a sealed value is a patch" keeps holding — the invariant the
 	// parallel insert path's sealed shortcut relies on.
 	if len(t.nuc) > 0 {
 		view := t.viewLocked(partition)
@@ -319,9 +322,12 @@ func (db *Database) DeleteWhereInt64(table, column string, pred func(int64) bool
 // rowIDs and maintains all PatchIndexes (Section 5.2):
 //
 //   - NSC on the modified column: all modified tuples become patches.
-//   - NUC on the modified column: the same collision join as insert
-//     handling, over the new values and against all partitions (no
-//     bitmap reallocation — the cardinality is unchanged).
+//   - NUC on the modified column: the patches the Fig. 5 collision
+//     join would add over the new values, against all partitions (no
+//     bitmap reallocation — the cardinality is unchanged), found from
+//     the sharded collision state's exact per-partition counts instead
+//     of a join: its cost follows the modified rows and the partitions
+//     holding a colliding value, not the table (modifyNUCLocked).
 //   - Indexes on other columns are untouched (their values didn't
 //     change).
 func (db *Database) Modify(table string, partition int, rowIDs []uint64, column string, values []storage.Value) error {
@@ -349,8 +355,8 @@ func (db *Database) Modify(table string, partition int, rowIDs []uint64, column 
 		return err
 	}
 
-	// NUC maintenance runs the global collision join against every
-	// partition: exclusive structure lock. modifyLocked re-reads the
+	// NUC maintenance reads the collision counts of every partition:
+	// exclusive structure lock. modifyLocked re-reads the
 	// index map under it, so a DropPatchIndex racing the dispatch gap
 	// simply downgrades this to the (correct, coarser-locked) NSC path.
 	t.mu.Lock()
@@ -382,20 +388,9 @@ func (t *Table) modifyPartitionScoped(db *Database, partition int, rowIDs []uint
 // modifyLocked applies one partition's modify and its index
 // maintenance. The caller holds partition `partition` — via its
 // partition lock when the modified column has no NUC index, via the
-// exclusive structure lock (which the global collision join needs)
-// otherwise.
+// exclusive structure lock (which NUC modify handling needs) otherwise.
 func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, column string, values []storage.Value) error {
 	col := t.store.Schema().MustColumnIndex(column)
-	// As in Insert: reject payload overflow before mutating the delta,
-	// so the error path leaves table and indexes consistent. Only the
-	// modified column's own NUC index consumes the packed payload.
-	if idx := t.indexes[column]; len(idx) > 0 && idx[0].ConstraintKind() == core.NearlyUnique {
-		for _, r := range rowIDs {
-			if _, err := encodeRef(partition, r); err != nil {
-				return fmt.Errorf("engine: modify on %s.%s: %w", t.name, column, err)
-			}
-		}
-	}
 	// Write-ahead, after validation and before any mutation. The segment
 	// mirrors the lock mode the dispatch chose (re-checked here, exactly
 	// like the maintenance dispatch below): NUC-column modifies run under
@@ -413,109 +408,29 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 	}
 	// The modified column's collision state needs the outgoing values
 	// before the delta overwrites them. Only NUC-column modifies carry
-	// state (and they run under the exclusive structure lock, so the
-	// whole-table bookkeeping below is safe); rowIDs are assumed
+	// state, and they run under the exclusive structure lock, so the
+	// whole-table bookkeeping in modifyNUCLocked is safe; rowIDs are
 	// distinct, as the ascending contract implies.
 	st := t.nuc[column]
-	var oldInt []int64
-	var oldStr []string
+	var old []storage.Value
 	if st != nil {
 		view := t.viewLocked(partition)
-		if st.IsString() {
-			oldStr = make([]string, len(rowIDs))
-			for i, r := range rowIDs {
-				oldStr[i] = view.Get(int(r), col).S
-			}
-		} else {
-			oldInt = make([]int64, len(rowIDs))
-			for i, r := range rowIDs {
-				oldInt[i] = view.Get(int(r), col).I
-			}
+		old = make([]storage.Value, len(rowIDs))
+		for i, r := range rowIDs {
+			old[i] = view.Get(int(r), col)
 		}
 	}
 	d := t.mutableDeltaLocked(partition)
 	for i, r := range rowIDs {
 		d.Modify(int(r), col, values[i])
 	}
-	for idxCol := range t.indexes {
-		if idxCol != column {
-			continue
-		}
-		idx := t.mutableIndexesLocked(idxCol)
+	if idx := t.indexes[column]; len(idx) > 0 {
 		switch idx[0].ConstraintKind() {
 		case core.NearlySorted:
-			idx[partition].HandleModifyNSC(rowIDs)
+			t.mutableIndexesLocked(column)[partition].HandleModifyNSC(rowIDs)
 		case core.NearlyUnique:
-			isInt := t.store.Schema()[col].Kind == storage.KindInt64
-			changed := make([]changedRef, len(rowIDs))
-			changedStrs := make([][]string, t.store.NumPartitions())
-			for i, r := range rowIDs {
-				changed[i] = changedRef{part: partition, rid: r, val: values[i].I}
-				if !isInt {
-					changedStrs[partition] = append(changedStrs[partition], values[i].S)
-				}
-			}
-			joins, err := t.nucModifyCollisions(col, changed, changedStrs)
-			if err != nil {
-				return fmt.Errorf("engine: modify handling on %s.%s: %w", t.name, column, err)
-			}
-			for p := range idx {
-				idx[p].HandleModifyNUC(joins[p])
-			}
+			t.modifyNUCLocked(st, column, col, partition, rowIDs, old, values)
 		}
-	}
-	// Re-point the collision state from the outgoing to the incoming
-	// values: remove old counts, add new ones, force-patch rows whose
-	// NEW value is already sealed (the parallel insert path assumes
-	// every live occurrence of a sealed value is a patch, and the
-	// collision join can come back empty for a sealed value whose other
-	// occurrences were deleted), seal values the modify just
-	// duplicated, and teach the partition filter the new values.
-	if st != nil {
-		var forced []uint64
-		if st.IsString() {
-			for _, v := range oldStr {
-				st.RemoveLocalString(partition, v)
-			}
-			for i := range rowIDs {
-				v := values[i].S
-				st.AddLocalString(partition, v)
-				st.AddBloomString(partition, v)
-			}
-			sealed := st.Sealed()
-			var newDup []string
-			for i := range rowIDs {
-				v := values[i].S
-				if sealed.ContainsString(v) {
-					forced = append(forced, rowIDs[i])
-				} else if st.GlobalCountString(v) > 1 {
-					newDup = append(newDup, v)
-				}
-			}
-			st.SealDuplicatesString(newDup)
-		} else {
-			for _, v := range oldInt {
-				st.RemoveLocalInt64(partition, v)
-			}
-			for i := range rowIDs {
-				v := values[i].I
-				st.AddLocalInt64(partition, v)
-				st.AddBloomInt64(partition, v)
-			}
-			sealed := st.Sealed()
-			var newDup []int64
-			for i := range rowIDs {
-				v := values[i].I
-				if sealed.ContainsInt64(v) {
-					forced = append(forced, rowIDs[i])
-				} else if st.GlobalCountInt64(v) > 1 {
-					newDup = append(newDup, v)
-				}
-			}
-			st.SealDuplicatesInt64(newDup)
-		}
-		t.mutableIndexesLocked(column)[partition].AddPatches(forced)
-		st.RebuildOverfullBlooms()
 	}
 	if db.AutoCheckpoint {
 		t.checkpointPartitionLocked(partition)
@@ -523,36 +438,76 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 	return nil
 }
 
-// nucModifyCollisions mirrors nucCollisions for modified tuples. String
-// columns cannot reuse stringCollisions' positional assumptions (the
-// changed tuples are not at the end), so they use a direct lookup.
-func (t *Table) nucModifyCollisions(col int, changed []changedRef, changedStrs [][]string) ([]core.NUCJoinResult, error) {
-	if t.store.Schema()[col].Kind != storage.KindString {
-		return t.nucCollisions(col, changed, nil)
-	}
-	t.collisionJoins.Add(1)
-	nparts := t.store.NumPartitions()
-	out := make([]core.NUCJoinResult, nparts)
-	type ref struct {
-		part int
-		rid  uint64
-	}
-	byVal := make(map[string][]ref)
-	for p := 0; p < nparts; p++ {
-		for i, v := range t.viewLocked(p).MaterializeString(col) {
-			byVal[v] = append(byVal[v], ref{part: p, rid: uint64(i)})
+// modifyNUCLocked is NUC modify handling from the sharded collision
+// state, after the delta took the new values. It adds exactly the
+// patches of the Fig. 5 join over the new values (every other
+// occurrence of a modified row's new value, and the row itself when
+// there is one) without joining: the count maps move from the old
+// values to the new ones, a new value occurring twice or more is a
+// collision, and only the partitions whose counts hold a colliding
+// value are scanned for its occurrences. A row whose new value is
+// sealed is patched even without a collision (its other occurrences
+// may all have been deleted), keeping every live occurrence of a
+// sealed value a patch; such a value's other occurrences are patches
+// already, so it needs no scan. The colliding values are sealed, the
+// partition filter learns the new values, and saturated filters and a
+// due sealed set are rebuilt. The caller holds the structure lock
+// exclusively.
+func (t *Table) modifyNUCLocked(st *core.NUCState, column string, col, partition int, rowIDs []uint64, old, values []storage.Value) {
+	idx := t.mutableIndexesLocked(column)
+	sealed := st.Sealed()
+	var patched []uint64
+	var collInt []int64
+	var collStr []string
+	if st.IsString() {
+		for i := range rowIDs {
+			st.RemoveLocalString(partition, old[i].S)
+			st.AddLocalString(partition, values[i].S)
+			st.AddBloomString(partition, values[i].S)
 		}
-	}
-	for _, c := range changed {
-		v := t.viewLocked(c.part).Get(int(c.rid), col).S
-		self := ref{part: c.part, rid: c.rid}
-		for _, r := range byVal[v] {
-			if r == self {
-				continue
+		for i, r := range rowIDs {
+			v := values[i].S
+			if sealed.ContainsString(v) {
+				patched = append(patched, r)
+			} else if st.GlobalCountString(v) > 1 {
+				patched = append(patched, r)
+				collStr = append(collStr, v)
 			}
-			out[c.part].InsertedSide = append(out[c.part].InsertedSide, c.rid)
-			out[r.part].TableSide = append(out[r.part].TableSide, r.rid)
+		}
+	} else {
+		for i := range rowIDs {
+			st.RemoveLocalInt64(partition, old[i].I)
+			st.AddLocalInt64(partition, values[i].I)
+			st.AddBloomInt64(partition, values[i].I)
+		}
+		for i, r := range rowIDs {
+			v := values[i].I
+			if sealed.ContainsInt64(v) {
+				patched = append(patched, r)
+			} else if st.GlobalCountInt64(v) > 1 {
+				patched = append(patched, r)
+				collInt = append(collInt, v)
+			}
 		}
 	}
-	return out, nil
+	idx[partition].AddPatches(patched)
+	for q := range idx {
+		var ints []int64
+		var strs []string
+		for _, v := range collInt {
+			if st.LocalCountInt64(q, v) > 0 {
+				ints = append(ints, v)
+			}
+		}
+		for _, v := range collStr {
+			if st.LocalCountString(q, v) > 0 {
+				strs = append(strs, v)
+			}
+		}
+		idx[q].AddPatches(t.occurrencesLocked(q, col, ints, strs))
+	}
+	st.SealDuplicatesInt64(collInt)
+	st.SealDuplicatesString(collStr)
+	st.RebuildOverfullBlooms()
+	st.PruneSealed()
 }

@@ -144,8 +144,8 @@ func (t *Table) recomputePartitionIndexesLocked(p int) {
 //     set or duplicated inside the partition. Discovery seals every
 //     global duplicate and all later write paths keep sealing, so this
 //     is a superset of the true duplicates; it is conservative for
-//     values whose duplicate partners were deleted (the sealed set is
-//     monotone), matching the engine's standing "extra patches cost
+//     values whose duplicate partners were deleted (a sealed value
+//     leaves the set only once it has no live occurrence), matching the engine's standing "extra patches cost
 //     plan optimality, never correctness" stance. The recompute's value
 //     for NUC is therefore positional (after a reorder) and structural
 //     (a compact bitmap replaces an eroded one), not patch-count
@@ -158,9 +158,6 @@ func (t *Table) recomputeIndexSlotLocked(column string, idx []*core.Index, p int
 		x.AdoptState(core.BuildNSC(t.viewLocked(p).MaterializeInt64(col), x.Options()))
 	case core.NearlyUnique:
 		st := t.nuc[column]
-		if st == nil {
-			return // no collision state to recompute from; keep the slot
-		}
 		sealed := st.Sealed()
 		var rows int
 		var patches []uint64

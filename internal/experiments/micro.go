@@ -201,7 +201,10 @@ func human(b float64) string {
 // shape: materialization refresh dwarfs everything at fine granularity;
 // PatchIndex overhead is small and vanishes at granularity >= 50;
 // identifier design worse than bitmap; deletes nearly free for the
-// PatchIndex.
+// PatchIndex. NUC MODIFY classifies the new values from the engine's
+// per-partition collision counts instead of running the Fig. 5 join
+// (NUC INSERT still runs it), so those cells measure this
+// repository's modify handling, not the paper's query.
 func RunFig9(w io.Writer, s Scale) {
 	header(w, "Fig. 9", "update performance at e=0.5 for varying granularities")
 	fmt.Fprintf(w, "rows=%d, update set=%d tuples; runtimes in ms\n", s.Rows, s.UpdateTuples)

@@ -19,9 +19,11 @@
 //     queries (Section 5.4). Updates lock at partition granularity:
 //     Database.InsertRows / InsertRowsPartition append through the
 //     partition-parallel insert path (sharded NUC collision state;
-//     cross-partition candidate collisions fall back to the global
-//     collision join), while Database.Insert keeps the paper's
-//     exclusive-lock insert handling verbatim
+//     cross-partition candidate collisions fall back to an
+//     exclusive-lock exact check against its counts), NUC-column
+//     Modify classifies from the same counts, and Database.Insert
+//     keeps the paper's exclusive-lock insert handling (the Fig. 5
+//     collision join) verbatim
 //   - internal/matview, internal/sortkey, internal/joinindex: the
 //     comparator materialization approaches of the evaluation
 //   - internal/datagen, internal/tpch: the paper's data generator and
